@@ -55,11 +55,12 @@ func NewGraph(n int, edges []Edge) (*Graph, error) {
 	return graph.FromEdgeList(n, edges)
 }
 
-// NewGraphParallel is NewGraph built by `workers` goroutines (<=0:
-// GOMAXPROCS) — per-worker degree counting, prefix sum, scatter fill and
-// parallel per-vertex sorting. The result is identical to NewGraph's.
+// NewGraphParallel is NewGraph; workers is ignored.
+//
+// Deprecated: NewGraph's sort-free build outran the parallel build this
+// once selected. Call NewGraph.
 func NewGraphParallel(n int, edges []Edge, workers int) (*Graph, error) {
-	return graph.FromEdgeListParallel(n, edges, workers)
+	return NewGraph(n, edges)
 }
 
 // On-disk graph format names, as sniffed by OpenGraphFile and used as

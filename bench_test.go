@@ -294,8 +294,8 @@ func BenchmarkParallelBitwiseNoGather(b *testing.B) {
 	}
 }
 
-// BenchmarkPreprocessParallel measures the parallel preprocessing
-// pipeline (CSR build + DBG relabel) against its sequential form.
+// BenchmarkPreprocessParallel measures the preprocessing pipeline: the
+// CSR build, then the DBG relabel, which takes the worker count.
 func BenchmarkPreprocessParallel(b *testing.B) {
 	g, err := Generate("GD", 1)
 	if err != nil {
@@ -316,7 +316,7 @@ func BenchmarkPreprocessParallel(b *testing.B) {
 	for _, w := range sweep {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				built, err := NewGraphParallel(g.NumVertices(), edges, w)
+				built, err := NewGraph(g.NumVertices(), edges)
 				if err != nil {
 					b.Fatal(err)
 				}

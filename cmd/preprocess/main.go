@@ -113,8 +113,8 @@ func saveGraph(path string, g *bitcolor.Graph, cfg saveConfig) error {
 
 func run(input, dataset, out string, seed int64, showTime bool, parallel int, save saveConfig, convert bool) error {
 	// Stage 1+2: load (parse text / read binary / generate) and build
-	// (CSR construction). Text edge lists split the two so the parallel
-	// builder's share is visible; the other sources build internally.
+	// (CSR construction). Text edge lists split the two so the build's
+	// share is visible; the other sources build internally.
 	var (
 		g         *bitcolor.Graph
 		err       error
@@ -135,7 +135,7 @@ func run(input, dataset, out string, seed int64, showTime bool, parallel int, sa
 		}
 		loadTime = time.Since(start)
 		start = time.Now()
-		g, err = graph.FromEdgeListParallel(n, edges, parallel)
+		g, err = graph.FromEdgeList(n, edges)
 		buildTime = time.Since(start)
 	case input != "":
 		g, err = bitcolor.LoadGraph(input)

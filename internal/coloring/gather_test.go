@@ -144,9 +144,9 @@ func TestSpeculativeGatherQualityOnTable3(t *testing.T) {
 			if err := Verify(h, res.Colors); err != nil {
 				t.Fatal(err)
 			}
-			if float64(res.NumColors) > 1.10*float64(seq.NumColors) {
-				t.Fatalf("speculative+gather used %d colors, sequential %d (>10%% worse)",
-					res.NumColors, seq.NumColors)
+			if limit := speculativeColorLimit(seq.NumColors); res.NumColors > limit {
+				t.Fatalf("speculative+gather used %d colors, sequential %d (limit %d)",
+					res.NumColors, seq.NumColors, limit)
 			}
 			if st.Gather.PrunedTail == 0 {
 				t.Fatal("round-1 PUV pruned nothing on a DBG-sorted graph")

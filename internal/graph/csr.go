@@ -198,39 +198,69 @@ type Edge struct {
 // FromEdgeList builds an undirected CSR over n vertices from an edge list.
 // Each undirected edge {u,v} is stored in both adjacency lists. Self loops
 // are dropped (a self loop would make coloring infeasible) and duplicate
-// edges are removed. Adjacency lists come out sorted ascending.
+// edges are removed. Adjacency lists come out sorted ascending. The
+// first edge out of range fails the build; edges is only read.
+//
+// The build is three counting scatters and no comparison sort. A sorted
+// list is the vertex's lower neighbors, then its upper ones. The first
+// scatter files each edge's smaller endpoint under its larger one, in
+// input order. Walking those files by ascending larger endpoint writes
+// every upper half in order; walking the upper halves by ascending
+// vertex then writes every lower half in order. Duplicates are then
+// adjacent and dedupSorted drops them. The work is O(V + E), and the
+// scratch is one entry per edge, where a transpose of both directions
+// would need two: an edge-list load peaks in memory inside this build.
 func FromEdgeList(n int, edges []Edge) (*CSR, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
 	}
-	deg := make([]int64, n)
+	// offsets[v+1] counts v's neighbors; belowOff[v+1] those below v.
+	offsets := make([]int64, n+1)
+	belowOff := make([]int64, n+1)
 	for _, e := range edges {
 		if int(e.U) >= n || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range n=%d", e.U, e.V, n)
 		}
-		if e.U == e.V {
-			continue
+		if e.U != e.V {
+			offsets[int(e.U)+1]++
+			offsets[int(e.V)+1]++
+			belowOff[int(max(e.U, e.V))+1]++
 		}
-		deg[e.U]++
-		deg[e.V]++
 	}
-	offsets := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
+	for v := range n {
+		offsets[v+1] += offsets[v]
+		belowOff[v+1] += belowOff[v]
 	}
-	adj := make([]VertexID, offsets[n])
-	fill := make([]int64, n)
+	next := make([]int64, n)
+	copy(next, belowOff)
+	below := make([]VertexID, belowOff[n])
 	for _, e := range edges {
-		if e.U == e.V {
-			continue
+		if e.U != e.V {
+			hi := max(e.U, e.V)
+			below[next[hi]] = min(e.U, e.V)
+			next[hi]++
 		}
-		adj[offsets[e.U]+fill[e.U]] = e.V
-		fill[e.U]++
-		adj[offsets[e.V]+fill[e.V]] = e.U
-		fill[e.V]++
+	}
+	// upper returns where v's upper half starts in adj.
+	upper := func(v int) int64 { return offsets[v] + belowOff[v+1] - belowOff[v] }
+	adj := make([]VertexID, offsets[n])
+	for v := range n {
+		next[v] = upper(v)
+	}
+	for hi := range n {
+		for _, lo := range below[belowOff[hi]:belowOff[hi+1]] {
+			adj[next[lo]] = VertexID(hi)
+			next[lo]++
+		}
+	}
+	copy(next, offsets)
+	for lo := range n {
+		for _, hi := range adj[upper(lo):offsets[lo+1]] {
+			adj[next[hi]] = VertexID(lo)
+			next[hi]++
+		}
 	}
 	g := &CSR{Offsets: offsets, Edges: adj}
-	g.SortEdges()
 	g.dedupSorted()
 	return g, nil
 }

@@ -3,36 +3,115 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// Fuzz targets: the two parsers must never panic and must only return
+// Fuzz targets: the parsers must never panic and must only return
 // structurally valid graphs.
 
+// FuzzReadEdgeList holds the edge-list loader to the parser and CSR build
+// it replaced (checkEdgeListMatchesReference).
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n")
 	f.Add("# comment\n5 5\n")
 	f.Add("999999999999 0\n")
 	f.Add("a b\n")
 	f.Add("")
-	f.Fuzz(func(t *testing.T, input string) {
-		g, _, err := ReadEdgeList(strings.NewReader(input))
-		if err != nil {
-			return
+	f.Add("% header\r\n0 1\r\n1 2\r\n\r\n2 0\r\n")            // CRLF
+	f.Add("0\t1\n\t1 \t2\t\n2\v0\f\n")                        // tabs and other ASCII blanks
+	f.Add("0\u00a01\n1 2\u00a0\n\u00a03 4\n3\u20035\n")       // Unicode separators
+	f.Add("00000000000000000001 2\n12345678901234567890 1\n") // 20-digit IDs
+	f.Add("18446744073709551615 0\n0 1\n")                    // 2^64-1
+	f.Add("0 1\n18446744073709551616 0\n")                    // 2^64: out of range
+	f.Add("0 1\n1 2\n4294967296 0\n2 3\n4294967296 3\n")      // an ID of 2^32 mid-file
+	f.Add("1000000000 1000000007\n1000000007 1999999999\n1999999999 1000000000\n")
+	f.Add("0 1 0.5\n1 2 x y\n0 1x\n") // extra fields, then a bad ID
+	f.Fuzz(checkEdgeListMatchesReference)
+}
+
+// The differential check on the two inputs too large for the fuzz seed
+// corpus: as seeds they stall the fuzzer for seconds at a time while it
+// minimizes their descendants.
+func TestReadEdgeListMatchesReference(t *testing.T) {
+	for name, input := range map[string]string{
+		"benchmark-shaped": gdShapedEdgeList(t, 1500, 4), // past edgeProbeCap
+		"line over 1 MiB":  "0 1\n1 " + strings.Repeat("2", 1<<20) + "\n",
+	} {
+		t.Run(name, func(t *testing.T) { checkEdgeListMatchesReference(t, input) })
+	}
+}
+
+// checkEdgeListMatchesReference asserts that ReadEdges returns the
+// reference parser's vertex count, densified edges and line count, or
+// its error text, whether or not the reader reports its length; and that
+// FromEdgeList then builds the reference build's CSR byte for byte.
+func checkEdgeListMatchesReference(t *testing.T, input string) {
+	wantN, wantEdges, wantLines, wantErr := referenceReadEdges(strings.NewReader(input))
+	for _, r := range []io.Reader{strings.NewReader(input), struct{ io.Reader }{strings.NewReader(input)}} {
+		n, edges, lines, err := ReadEdges(r)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("error %v, reference %v", err, wantErr)
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("parser returned invalid graph: %v", err)
+		if n != wantN || lines != wantLines || !slices.Equal(edges, wantEdges) {
+			t.Fatalf("parsed n=%d lines=%d (%d edges), reference n=%d lines=%d (%d edges)",
+				n, lines, len(edges), wantN, wantLines, len(wantEdges))
 		}
-		if g.HasSelfLoops() {
-			t.Fatal("parser returned self loops")
+	}
+	if wantErr != nil {
+		return
+	}
+	g, err := FromEdgeList(wantN, wantEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceFromEdgeList(wantN, wantEdges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphsEqual(t, want, g, "edge-list CSR")
+	if err := g.Validate(); err != nil {
+		t.Fatalf("parser returned invalid graph: %v", err)
+	}
+	if g.HasSelfLoops() {
+		t.Fatal("parser returned self loops")
+	}
+	if !g.IsUndirected() {
+		t.Fatal("parser returned asymmetric graph")
+	}
+}
+
+// gdShapedEdgeList writes a preferential-attachment graph the way the
+// benchmark writes its GD stand-ins: each undirected edge once as "u v",
+// u < v, sources ascending.
+func gdShapedEdgeList(tb testing.TB, n, k int) string {
+	rng := rand.New(rand.NewSource(1))
+	var ends []VertexID // one entry per edge end: degree-proportional sampling
+	var edges []Edge
+	for v := k; v < n; v++ {
+		for i := 0; i < k; i++ {
+			u := VertexID(rng.Intn(k))
+			if len(ends) > 0 {
+				u = ends[rng.Intn(len(ends))]
+			}
+			edges = append(edges, Edge{U: u, V: VertexID(v)})
+			ends = append(ends, u, VertexID(v))
 		}
-		if !g.IsUndirected() {
-			t.Fatal("parser returned asymmetric graph")
-		}
-	})
+	}
+	g, err := FromEdgeList(n, edges)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteEdgeList(&buf, g); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.String()
 }
 
 func FuzzReadBinary(f *testing.F) {

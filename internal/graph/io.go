@@ -2,11 +2,14 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -18,10 +21,24 @@ import (
 //     available;
 //   - a compact little-endian binary CSR format for fast reload of
 //     generated datasets ("BCSR" magic, version, counts, offsets, edges).
+//
+// The edge-list grammar, stated once: lines are split by bufio.Scanner
+// (a trailing '\r' is dropped) and may be at most 1 MiB long. A line
+// that is blank after strings.TrimSpace, or starts with '#' or '%' after
+// it, is skipped. Any other line must hold at least two fields
+// (strings.Fields), the first two decimal uint64 vertex IDs
+// (strconv.ParseUint); further fields, such as weights, are ignored.
+// parseEdgeFields is the one definition of that grammar and of its error
+// texts. The loader reads the common line shape itself, without
+// allocating: optional ASCII blanks, two runs of 1–19 ASCII digits
+// separated by ASCII blanks, then the end of the line or an ASCII blank.
+// Every other line, including comments, non-ASCII bytes and IDs of 20 or
+// more digits, goes through parseEdgeFields. Raw IDs may be sparse; they
+// are densified to 0..n-1 in order of first appearance, u before v
+// within a line.
 
-// ReadEdgeList parses a SNAP-format undirected edge list. Vertex IDs may
-// be sparse; they are densified in first-appearance order. Returns the
-// graph and the number of input lines used.
+// ReadEdgeList parses a SNAP-format undirected edge list (grammar above)
+// and builds its CSR. Returns the graph and the number of edge lines.
 func ReadEdgeList(r io.Reader) (*CSR, int, error) {
 	n, edges, lines, err := ReadEdges(r)
 	if err != nil {
@@ -31,48 +48,201 @@ func ReadEdgeList(r io.Reader) (*CSR, int, error) {
 	return g, lines, err
 }
 
-// ReadEdges parses a SNAP-format edge list into its densified edge set
-// without building the CSR, so callers can time — and parallelize — the
-// build separately (FromEdgeListParallel). Returns the vertex count, the
-// edges, and the number of input lines used.
+// ReadEdges parses a SNAP-format edge list (grammar in the file header)
+// into its densified edge set without building the CSR, so callers can
+// time the build separately. Returns the vertex count, the edges, and the
+// number of edge lines (one edge each).
+//
+// Common lines are parsed in place from the scanner's buffer, and raw
+// IDs go straight into the returned slice. Once edgeProbeCap edge lines
+// have parsed, a reader that can be read twice (a file, an in-memory
+// reader) is counted through ReadAt, and the slice is sized once for the
+// whole input. After the parse the IDs are densified in place: through a table
+// when the largest raw ID is below 4× the edge count, through a presized
+// map otherwise. A raw ID of 2³² or more does not fit an Edge, so from
+// that line on every ID goes through the map as it is read.
 func ReadEdges(r io.Reader) (int, []Edge, int, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	ids := make(map[uint64]VertexID)
-	var edges []Edge
-	lines := 0
-	lookup := func(raw uint64) VertexID {
-		if id, ok := ids[raw]; ok {
-			return id
-		}
-		id := VertexID(len(ids))
-		ids[raw] = id
-		return id
-	}
+	sc.Buffer(make([]byte, 64<<10), 1<<20) // grows up to the 1 MiB line cap
+	edges := make([]Edge, 0, edgeProbeCap)
+	var (
+		ids    idMap  // non-nil once an ID needs 64 bits; edges then hold dense IDs
+		maxRaw uint64 // largest raw ID while edges hold raw IDs
+	)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
+		u, v, ok := parseEdgeLine(sc.Bytes())
+		if !ok {
+			var skip bool
+			var err error
+			if u, v, skip, err = parseEdgeFields(sc.Text()); err != nil {
+				return 0, nil, 0, err
+			}
+			if skip {
+				continue
+			}
+		}
+		if ids == nil && max(u, v) > math.MaxUint32 {
+			ids = make(idMap, len(edges))
+			ids.densify(edges)
+		}
+		if len(edges) == edgeProbeCap {
+			if bound := lineBound(r); bound > len(edges) {
+				edges = slices.Grow(edges, bound-len(edges))
+			}
+		}
+		if ids != nil {
+			edges = append(edges, Edge{U: ids.lookup(u), V: ids.lookup(v)})
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0, nil, 0, fmt.Errorf("graph: malformed edge line %q", line)
-		}
-		u, err := strconv.ParseUint(fields[0], 10, 64)
-		if err != nil {
-			return 0, nil, 0, fmt.Errorf("graph: bad vertex %q: %v", fields[0], err)
-		}
-		v, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return 0, nil, 0, fmt.Errorf("graph: bad vertex %q: %v", fields[1], err)
-		}
-		edges = append(edges, Edge{U: lookup(u), V: lookup(v)})
-		lines++
+		maxRaw = max(maxRaw, u, v)
+		edges = append(edges, Edge{U: VertexID(u), V: VertexID(v)})
 	}
 	if err := sc.Err(); err != nil {
 		return 0, nil, 0, err
 	}
-	return len(ids), edges, lines, nil
+	if len(edges) == 0 {
+		return 0, nil, 0, nil
+	}
+	if ids != nil {
+		return len(ids), edges, len(edges), nil
+	}
+	return densify(edges, maxRaw), edges, len(edges), nil
+}
+
+// edgeProbeCap is how many edge lines ReadEdges parses before it sizes
+// its edge slice for the whole input: a file that does not start with
+// edges fails before anything is allocated for it.
+const edgeProbeCap = 4096
+
+// lineBound bounds the edge lines r holds when r can be read twice
+// (io.ReaderAt): its newlines plus one, and at most one per 4 bytes, the
+// shortest edge line ("0 1\n"). It returns 0 for any other reader.
+func lineBound(r io.Reader) int {
+	ra, ok := r.(io.ReaderAt)
+	if !ok {
+		return 0
+	}
+	buf := make([]byte, 64<<10)
+	lines, size := 1, 0
+	for {
+		k, err := ra.ReadAt(buf, int64(size))
+		lines += bytes.Count(buf[:k], []byte{'\n'})
+		size += k
+		if err != nil { // io.EOF, or an error the scanner reports too
+			return min(lines, (size+1)/4)
+		}
+	}
+}
+
+// isBlank reports whether c is one of the ASCII bytes strings.TrimSpace
+// and strings.Fields treat as space.
+func isBlank(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f'
+}
+
+// parseEdgeLine parses the common line shape — optional ASCII blanks,
+// two runs of 1–19 ASCII digits separated by ASCII blanks, then the end
+// of the line or an ASCII blank — and reports false for any other line.
+// 19 digits always fit a uint64. On such a line the grammar's first two
+// fields are exactly the two digit runs, whatever follows them.
+func parseEdgeLine(b []byte) (u, v uint64, ok bool) {
+	i := 0
+	for i < len(b) && isBlank(b[i]) {
+		i++
+	}
+	if u, i, ok = parseDigits(b, i); !ok || i == len(b) || !isBlank(b[i]) {
+		return 0, 0, false
+	}
+	for i < len(b) && isBlank(b[i]) {
+		i++
+	}
+	if v, i, ok = parseDigits(b, i); !ok || (i < len(b) && !isBlank(b[i])) {
+		return 0, 0, false
+	}
+	return u, v, true
+}
+
+// parseDigits reads a run of 1–19 ASCII digits starting at b[i] and
+// returns its value and the index after it.
+func parseDigits(b []byte, i int) (x uint64, end int, ok bool) {
+	start := i
+	for ; i < len(b) && b[i]-'0' <= 9; i++ {
+		x = x*10 + uint64(b[i]-'0')
+	}
+	if n := i - start; n == 0 || n > 19 {
+		return 0, i, false
+	}
+	return x, i, true
+}
+
+// parseEdgeFields is the edge-list grammar for one line: it reports a
+// skipped line (blank or comment), a parse error, or the two raw IDs.
+func parseEdgeFields(text string) (u, v uint64, skip bool, err error) {
+	line := strings.TrimSpace(text)
+	if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
+		return 0, 0, true, nil
+	}
+	fields := strings.Fields(line)
+	if len(fields) < 2 {
+		return 0, 0, false, fmt.Errorf("graph: malformed edge line %q", line)
+	}
+	u, err = strconv.ParseUint(fields[0], 10, 64)
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("graph: bad vertex %q: %v", fields[0], err)
+	}
+	v, err = strconv.ParseUint(fields[1], 10, 64)
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("graph: bad vertex %q: %v", fields[1], err)
+	}
+	return u, v, false, nil
+}
+
+// densify renumbers the raw IDs in edges in place, in first-appearance
+// order (U before V within an edge), and returns the vertex count.
+// maxRaw is the largest raw ID in edges.
+func densify(edges []Edge, maxRaw uint64) int {
+	if maxRaw >= 4*uint64(len(edges)) {
+		ids := make(idMap, len(edges))
+		ids.densify(edges)
+		return len(ids)
+	}
+	table := make([]VertexID, maxRaw+1) // dense ID + 1; 0 = not seen yet
+	n := VertexID(0)
+	for i := range edges {
+		e := &edges[i]
+		if table[e.U] == 0 {
+			n++
+			table[e.U] = n
+		}
+		e.U = table[e.U] - 1
+		if table[e.V] == 0 {
+			n++
+			table[e.V] = n
+		}
+		e.V = table[e.V] - 1
+	}
+	return int(n)
+}
+
+// idMap densifies raw IDs that a table would make too large.
+type idMap map[uint64]VertexID
+
+// lookup returns raw's dense ID, assigning the next one on first sight.
+func (m idMap) lookup(raw uint64) VertexID {
+	id, ok := m[raw]
+	if !ok {
+		id = VertexID(len(m))
+		m[raw] = id
+	}
+	return id
+}
+
+// densify renumbers the raw IDs in edges in place through m. (Calls in
+// a composite literal run left to right, so U is looked up before V.)
+func (m idMap) densify(edges []Edge) {
+	for i, e := range edges {
+		edges[i] = Edge{U: m.lookup(uint64(e.U)), V: m.lookup(uint64(e.V))}
+	}
 }
 
 // LoadEdgeListFile reads a SNAP edge-list file from disk.

@@ -1,11 +1,15 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -162,4 +166,87 @@ func TestLoadEdgeListFileMissing(t *testing.T) {
 	if _, err := LoadEdgeListFile(filepath.Join(t.TempDir(), "missing.txt")); err == nil {
 		t.Fatal("missing file did not error")
 	}
+}
+
+// referenceReadEdges is the edge-list parser ReadEdges replaced: every
+// line through TrimSpace/Fields/ParseUint, IDs densified through a map as
+// they are read. The differential tests hold ReadEdges to its output and
+// error texts.
+func referenceReadEdges(r io.Reader) (int, []Edge, int, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	ids := make(map[uint64]VertexID)
+	var edges []Edge
+	lines := 0
+	lookup := func(raw uint64) VertexID {
+		if id, ok := ids[raw]; ok {
+			return id
+		}
+		id := VertexID(len(ids))
+		ids[raw] = id
+		return id
+	}
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") || strings.HasPrefix(line, "%") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			return 0, nil, 0, fmt.Errorf("graph: malformed edge line %q", line)
+		}
+		u, err := strconv.ParseUint(fields[0], 10, 64)
+		if err != nil {
+			return 0, nil, 0, fmt.Errorf("graph: bad vertex %q: %v", fields[0], err)
+		}
+		v, err := strconv.ParseUint(fields[1], 10, 64)
+		if err != nil {
+			return 0, nil, 0, fmt.Errorf("graph: bad vertex %q: %v", fields[1], err)
+		}
+		edges = append(edges, Edge{U: lookup(u), V: lookup(v)})
+		lines++
+	}
+	if err := sc.Err(); err != nil {
+		return 0, nil, 0, err
+	}
+	return len(ids), edges, lines, nil
+}
+
+// referenceFromEdgeList is the CSR build FromEdgeList replaced: one
+// scatter in input order, a comparison sort of every list, then the
+// duplicate compaction.
+func referenceFromEdgeList(n int, edges []Edge) (*CSR, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	deg := make([]int64, n)
+	for _, e := range edges {
+		if int(e.U) >= n || int(e.V) >= n {
+			return nil, fmt.Errorf("graph: edge (%d,%d) out of range n=%d", e.U, e.V, n)
+		}
+		if e.U == e.V {
+			continue
+		}
+		deg[e.U]++
+		deg[e.V]++
+	}
+	offsets := make([]int64, n+1)
+	for v := 0; v < n; v++ {
+		offsets[v+1] = offsets[v] + deg[v]
+	}
+	adj := make([]VertexID, offsets[n])
+	fill := make([]int64, n)
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
+		adj[offsets[e.U]+fill[e.U]] = e.V
+		fill[e.U]++
+		adj[offsets[e.V]+fill[e.V]] = e.U
+		fill[e.V]++
+	}
+	g := &CSR{Offsets: offsets, Edges: adj}
+	g.SortEdges()
+	g.dedupSorted()
+	return g, nil
 }

@@ -1,29 +1,22 @@
 package graph
 
-// Parallel construction pipeline. The paper treats preprocessing cost as
-// a first-class evaluation subject (Table 2); on multicore hosts the
-// sequential two-pass CSR build and the per-vertex edge sorting dominate
-// end-to-end time for large edge lists, so both are parallelized here.
-// Every parallel entry point produces output identical to its sequential
-// counterpart (enforced by equivalence tests): counting and filling may
-// happen in any order because adjacency lists are canonicalized by the
-// sort + dedup passes that follow.
+// Parallel per-vertex sorting, for a CSR whose lists arrive unsorted
+// (a binary file not written by FromEdgeList). FromEdgeList itself needs
+// no sort: its counting scatters write every list sorted.
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Parallelization thresholds: below these sizes the coordination overhead
+// Parallelization threshold: below this size the coordination overhead
 // outweighs the win and the sequential code runs instead.
 const (
-	parallelBuildMinEdges   = 1 << 13
 	parallelSortMinVertices = 1 << 10
 	// vertexBlock is the granularity at which workers claim vertex ranges
-	// from the shared cursor during sort/dedup/relabel passes.
+	// from the shared cursor.
 	vertexBlock = 512
 )
 
@@ -35,112 +28,10 @@ func normWorkers(workers int) int {
 	return workers
 }
 
-// FromEdgeListParallel is FromEdgeList built by `workers` goroutines
-// (<=0: GOMAXPROCS): per-worker degree counters over edge chunks, a
-// prefix sum, an atomic-cursor scatter fill, parallel per-vertex edge
-// sorting and a parallel dedup compaction. The result is identical to
-// FromEdgeList on the same input, including the error on out-of-range
-// edges (the lowest-indexed offending edge is reported).
-func FromEdgeListParallel(n int, edges []Edge, workers int) (*CSR, error) {
-	workers = normWorkers(workers)
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
-	}
-	if workers == 1 || n == 0 || len(edges) < parallelBuildMinEdges {
-		return FromEdgeList(n, edges)
-	}
-
-	// Pass 1: degree counting. Each worker owns one contiguous edge chunk
-	// and a private counter array, so counting is write-contention-free;
-	// out-of-range edges are recorded by lowest input index so the error
-	// matches the sequential scan order.
-	chunk := (len(edges) + workers - 1) / workers
-	degs := make([][]int32, workers)
-	badIdx := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo := w * chunk
-			hi := min(lo+chunk, len(edges))
-			badIdx[w] = -1
-			deg := make([]int32, n)
-			degs[w] = deg
-			for i := lo; i < hi; i++ {
-				e := edges[i]
-				if int(e.U) >= n || int(e.V) >= n {
-					badIdx[w] = i
-					return
-				}
-				if e.U == e.V {
-					continue
-				}
-				deg[e.U]++
-				deg[e.V]++
-			}
-		}(w)
-	}
-	wg.Wait()
-	bad := -1
-	for _, i := range badIdx {
-		if i >= 0 && (bad < 0 || i < bad) {
-			bad = i
-		}
-	}
-	if bad >= 0 {
-		e := edges[bad]
-		return nil, fmt.Errorf("graph: edge (%d,%d) out of range n=%d", e.U, e.V, n)
-	}
-
-	// Reduce the per-worker counters into offsets. Each worker sums a
-	// contiguous vertex range across all counter arrays; the prefix sum
-	// itself is a cheap O(n) sequential pass.
-	offsets := make([]int64, n+1)
-	parallelVertexRanges(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			var d int64
-			for w := 0; w < workers; w++ {
-				d += int64(degs[w][v])
-			}
-			offsets[v+1] = d
-		}
-	})
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-
-	// Pass 2: scatter fill through per-vertex atomic cursors. Slot order
-	// within an adjacency list is scheduling-dependent, which is fine:
-	// the sort pass below canonicalizes it.
-	adj := make([]VertexID, offsets[n])
-	fill := make([]int32, n)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo := w * chunk
-			hi := min(lo+chunk, len(edges))
-			for _, e := range edges[lo:hi] {
-				if e.U == e.V {
-					continue
-				}
-				adj[offsets[e.U]+int64(atomic.AddInt32(&fill[e.U], 1))-1] = e.V
-				adj[offsets[e.V]+int64(atomic.AddInt32(&fill[e.V], 1))-1] = e.U
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	g := &CSR{Offsets: offsets, Edges: adj}
-	g.SortEdgesParallel(workers)
-	g.dedupSortedParallel(workers)
-	return g, nil
-}
-
 // SortEdgesParallel sorts every adjacency list ascending in place using
-// `workers` goroutines (<=0: GOMAXPROCS) claiming vertex blocks from a
-// shared cursor, so a few mega-degree lists cannot strand one worker.
+// `workers` goroutines (<=0: GOMAXPROCS) claiming vertexBlock-sized
+// ranges from a shared cursor, so a few mega-degree lists cannot strand
+// one worker.
 func (g *CSR) SortEdgesParallel(workers int) {
 	workers = normWorkers(workers)
 	n := g.NumVertices()
@@ -148,64 +39,6 @@ func (g *CSR) SortEdgesParallel(workers int) {
 		g.SortEdges()
 		return
 	}
-	parallelVertexBlocks(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			slices.Sort(g.Neighbors(VertexID(v)))
-		}
-	})
-}
-
-// dedupSortedParallel removes duplicate destinations from each (sorted)
-// adjacency list. Unlike the sequential in-place compaction, duplicates
-// are counted per vertex in parallel, a prefix sum assigns destination
-// ranges, and unique runs are copied into a fresh edge array — the
-// destination ranges are disjoint, so the copy pass is race-free.
-func (g *CSR) dedupSortedParallel(workers int) {
-	workers = normWorkers(workers)
-	n := g.NumVertices()
-	if workers == 1 || n < parallelSortMinVertices {
-		g.dedupSorted()
-		return
-	}
-	uniq := make([]int64, n+1)
-	parallelVertexBlocks(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			adj := g.Neighbors(VertexID(v))
-			var u int64
-			for i, d := range adj {
-				if i == 0 || d != adj[i-1] {
-					u++
-				}
-			}
-			uniq[v+1] = u
-		}
-	})
-	for v := 0; v < n; v++ {
-		uniq[v+1] += uniq[v]
-	}
-	if uniq[n] == g.Offsets[n] { // no duplicates anywhere: nothing to move
-		return
-	}
-	edges := make([]VertexID, uniq[n])
-	parallelVertexBlocks(n, workers, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			adj := g.Neighbors(VertexID(v))
-			w := uniq[v]
-			for i, d := range adj {
-				if i == 0 || d != adj[i-1] {
-					edges[w] = d
-					w++
-				}
-			}
-		}
-	})
-	g.Offsets = uniq
-	g.Edges = edges
-}
-
-// parallelVertexBlocks runs fn over [0,n) split into vertexBlock-sized
-// ranges claimed dynamically from a shared cursor by `workers` goroutines.
-func parallelVertexBlocks(n, workers int, fn func(lo, hi int)) {
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -217,28 +50,11 @@ func parallelVertexBlocks(n, workers int, fn func(lo, hi int)) {
 				if lo >= n {
 					return
 				}
-				fn(lo, min(lo+vertexBlock, n))
+				for v := lo; v < min(lo+vertexBlock, n); v++ {
+					slices.Sort(g.Neighbors(VertexID(v)))
+				}
 			}
 		}()
-	}
-	wg.Wait()
-}
-
-// parallelVertexRanges runs fn over [0,n) split into one contiguous range
-// per worker — for passes whose per-vertex cost is uniform.
-func parallelVertexRanges(n, workers int, fn func(lo, hi int)) {
-	per := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		if lo >= n {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, min(lo+per, n))
 	}
 	wg.Wait()
 }

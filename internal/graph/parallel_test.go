@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -35,56 +37,75 @@ func graphsEqual(t *testing.T, want, got *CSR, label string) {
 	}
 }
 
-// The acceptance bar for the parallel builder: byte-identical CSR output
-// versus FromEdgeList across random graphs of varying density, at several
-// worker counts (including more workers than a 1-CPU box has cores).
+// FromEdgeList must build byte for byte the CSR of the sort-based
+// reference build, on random graphs of varying density salted with
+// duplicates and self loops, the last one's adjacency larger than a 4 MiB
+// L2. Each case runs w builders concurrently over one shared input,
+// which FromEdgeList must only read.
 func TestFromEdgeListParallelEquivalence(t *testing.T) {
 	cases := []struct{ n, m int }{
-		{50, 100},     // below the parallel threshold: sequential fallback
-		{300, 9000},   // above the edge threshold, below the sort threshold
-		{2000, 30000}, // all parallel passes active
-		{5000, 12000}, // sparse
+		{50, 100},
+		{300, 9000},
+		{2000, 30000},
+		{5000, 12000},
+		{200000, 560000}, // ≥1M directed edges after dedup
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 2, 3, 8} {
-			t.Run(fmt.Sprintf("n=%d/m=%d/w=%d", tc.n, tc.m, workers), func(t *testing.T) {
+		workers := []int{1, 2, 3, 8}
+		if tc.m > 1<<16 {
+			workers = workers[:2] // keep the large case's memory small
+		}
+		for _, w := range workers {
+			t.Run(fmt.Sprintf("n=%d/m=%d/w=%d", tc.n, tc.m, w), func(t *testing.T) {
 				edges := randomEdges(tc.n, tc.m, int64(tc.n*31+tc.m))
-				want, err := FromEdgeList(tc.n, edges)
+				input := slices.Clone(edges)
+				want, err := referenceFromEdgeList(tc.n, edges)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := FromEdgeListParallel(tc.n, edges, workers)
-				if err != nil {
-					t.Fatal(err)
+				if tc.m > 1<<16 && want.NumEdges() < 1<<20 {
+					t.Fatalf("large case has %d directed edges, want ≥ %d", want.NumEdges(), 1<<20)
 				}
-				graphsEqual(t, want, got, "parallel build")
-				if err := got.Validate(); err != nil {
-					t.Fatal(err)
+				got := make([]*CSR, w)
+				errs := make([]error, w)
+				var wg sync.WaitGroup
+				for i := range got {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						got[i], errs[i] = FromEdgeList(tc.n, edges)
+					}()
 				}
-				if !got.EdgesSorted() {
-					t.Fatal("parallel build output not edge-sorted")
+				wg.Wait()
+				for i := range got {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
+					}
+					graphsEqual(t, want, got[i], fmt.Sprintf("builder %d", i))
+				}
+				if !slices.Equal(input, edges) {
+					t.Fatal("FromEdgeList wrote to its input")
 				}
 			})
 		}
 	}
 }
 
+// FromEdgeList's errors match the reference build's: a negative vertex
+// count, and the lowest-indexed out-of-range edge.
 func TestFromEdgeListParallelErrors(t *testing.T) {
-	if _, err := FromEdgeListParallel(-1, nil, 4); err == nil {
-		t.Fatal("negative vertex count accepted")
+	_, wantErr := referenceFromEdgeList(-1, nil)
+	_, gotErr := FromEdgeList(-1, nil)
+	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+		t.Fatalf("negative vertex count: reference %v, got %v", wantErr, gotErr)
 	}
-	// Out-of-range edge must error identically to the sequential builder,
-	// reporting the lowest-indexed offending edge.
 	edges := randomEdges(1000, 20000, 7)
 	edges[123] = Edge{U: 5000, V: 1}
 	edges[9000] = Edge{U: 1, V: 9999}
-	_, wantErr := FromEdgeList(1000, edges)
-	_, gotErr := FromEdgeListParallel(1000, edges, 4)
-	if wantErr == nil || gotErr == nil {
-		t.Fatalf("out-of-range edge accepted: seq=%v par=%v", wantErr, gotErr)
-	}
-	if wantErr.Error() != gotErr.Error() {
-		t.Fatalf("error mismatch: seq %q, par %q", wantErr, gotErr)
+	_, wantErr = referenceFromEdgeList(1000, edges)
+	_, gotErr = FromEdgeList(1000, edges)
+	if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+		t.Fatalf("out-of-range edge: reference %v, got %v", wantErr, gotErr)
 	}
 }
 
@@ -106,23 +127,4 @@ func TestSortEdgesParallelEquivalence(t *testing.T) {
 	}
 	shuffled.SortEdgesParallel(6)
 	graphsEqual(t, g, shuffled, "parallel sort")
-}
-
-func TestDedupSortedParallelEquivalence(t *testing.T) {
-	// Build duplicate-heavy directed layouts and dedup them both ways.
-	edges := randomEdges(2000, 25000, 5)
-	seq, err := FromDirectedEdgeList(2000, append(edges, edges...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := seq.Clone()
-	seq.SortEdges()
-	seq.dedupSorted()
-	par.SortEdgesParallel(4)
-	par.dedupSortedParallel(4)
-	graphsEqual(t, seq, par, "parallel dedup")
-	// Idempotence: a second dedup must be a no-op on both.
-	again := par.Clone()
-	again.dedupSortedParallel(4)
-	graphsEqual(t, par, again, "parallel dedup idempotence")
 }
