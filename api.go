@@ -691,10 +691,21 @@ func ColorContext(ctx context.Context, g *Graph, opts ColorOptions) (*Result, Ru
 	if err != nil {
 		return nil, st, err
 	}
-	if err := coloring.Verify(g, res.Colors); err != nil {
+	if err := coloring.VerifyParallel(g, res.Colors, verifyWorkers(opts, st)); err != nil {
 		return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", opts.Engine, err)
 	}
 	return res, st, nil
+}
+
+// verifyWorkers is how many goroutines verify a finished run: the run's
+// own worker count, so the check costs one O(E) pass split like the
+// engine's. Under a Pool it is one — the calling goroutine — because the
+// pool bounds engine workers and its grant is already released.
+func verifyWorkers(opts ColorOptions, st RunStats) int {
+	if opts.Pool != nil {
+		return 1
+	}
+	return st.Workers
 }
 
 // ColorHandle runs a software coloring engine against an opened graph
@@ -742,7 +753,7 @@ func ColorHandleContext(ctx context.Context, h *GraphHandle, opts ColorOptions) 
 		if err != nil {
 			return nil, st, err
 		}
-		if err := coloring.VerifySharded(h.sf, res.Colors); err != nil {
+		if err := coloring.VerifyShardedParallel(h.sf, res.Colors, verifyWorkers(opts, st)); err != nil {
 			return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", opts.Engine, err)
 		}
 		return res, st, nil
@@ -761,7 +772,7 @@ func ColorHandleContext(ctx context.Context, h *GraphHandle, opts ColorOptions) 
 			if err != nil {
 				return nil, st, err
 			}
-			if err := coloring.Verify(g, res.Colors); err != nil {
+			if err := coloring.VerifyParallel(g, res.Colors, verifyWorkers(opts, st)); err != nil {
 				return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", opts.Engine, err)
 			}
 			return res, st, nil

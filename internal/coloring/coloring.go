@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"bitcolor/internal/exec"
-	"bitcolor/internal/graph"
 )
 
 // MaxColorsDefault is the paper's configured palette size (§5.1.1).
@@ -89,28 +88,6 @@ func MaxColor(colors []uint16) uint16 {
 		}
 	}
 	return max
-}
-
-// Verify checks that the assignment is a proper coloring: every vertex is
-// colored and no two adjacent vertices share a color. It returns the
-// first violation found.
-func Verify(g *graph.CSR, colors []uint16) error {
-	n := g.NumVertices()
-	if len(colors) != n {
-		return fmt.Errorf("coloring: %d colors for %d vertices", len(colors), n)
-	}
-	for v := 0; v < n; v++ {
-		cv := colors[v]
-		if cv == 0 {
-			return fmt.Errorf("coloring: vertex %d uncolored", v)
-		}
-		for _, w := range g.Neighbors(graph.VertexID(v)) {
-			if colors[w] == cv {
-				return fmt.Errorf("coloring: adjacent vertices %d and %d share color %d", v, w, cv)
-			}
-		}
-	}
-	return nil
 }
 
 // ErrPaletteExhausted is returned when a graph needs more colors than the

@@ -43,13 +43,16 @@ func DCTColor(ctx context.Context, g *graph.CSR, maxColors int, workers int) (*R
 const ForwardRingCap = 64
 
 // DCTOpts is DCTColor with the full option set: worker count, the
-// blocked color-gather (with the adaptive average-degree heuristic,
+// gather report (with the adaptive average-degree heuristic,
 // ForceGather/DisableGather overrides) and the hot-tier threshold v_t.
-// Neighbor-color loads go through the same gather/PUV path as the
-// speculative engines; the uncolored tail above the current vertex is
-// never scanned at all, because under the DCT discipline every
-// higher-indexed neighbor defers on this vertex, not the other way
-// around.
+// The kernel reads each lower neighbor's color with one load and no
+// per-read classification; the uncolored tail above the current vertex
+// is never scanned at all (the PUV break), because under the DCT
+// discipline every higher-indexed neighbor defers on this vertex, not
+// the other way around. The gather options decide only whether the run
+// reports GatherStats: when on, each colored vertex adds its reads,
+// classified against v_t and the worker's last-block register, and its
+// pruned tail to the worker's counters once, after it is colored.
 //
 // Cancellation is polled every few owned vertices and inside every spin
 // wait; a cancelled or failed worker raises a shared abort flag so no
@@ -151,30 +154,25 @@ func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *
 	}
 
 	// attempt colors v if every lower-indexed neighbor has published,
-	// reading neighbor colors through the gather (or the naive atomic
-	// path). Higher-indexed neighbors are never read: under the DCT
-	// discipline they defer on v. On a sorted adjacency list they form
-	// the tail and the scan breaks (the PUV break of §3.2.2). Returns
-	// the first pending neighbor on deferral.
+	// one acquire load per neighbor. Higher-indexed neighbors are never
+	// read: under the DCT discipline they defer on v. On a sorted
+	// adjacency list they form the tail and the scan breaks (the PUV
+	// break of §3.2.2). Returns the first pending neighbor on deferral.
+	// The gather counts are tallied once per colored vertex, never per
+	// read, so a replayed attempt adds nothing to them.
 	attempt := func(s *workerScratch, v graph.VertexID) (graph.VertexID, exec.Outcome) {
 		s.state.Reset()
 		adj := g.Neighbors(v)
+		k := len(adj)
 		for i, u := range adj {
 			if u > v {
-				if !sorted {
-					continue
+				if sorted {
+					k = i
+					break
 				}
-				if useGather {
-					s.sh.Add(obs.CtrPrunedTail, int64(len(adj)-i))
-				}
-				break
+				continue
 			}
-			var c uint32
-			if useGather {
-				c = s.ga.load(u)
-			} else {
-				c = atomic.LoadUint32(&shared[u])
-			}
+			c := atomic.LoadUint32(&shared[u])
 			if c == 0 {
 				return u, exec.Deferred
 			}
@@ -186,6 +184,9 @@ func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *
 		}
 		atomic.StoreUint32(&shared[v], uint32(pick))
 		s.sh.Inc(obs.CtrVertices)
+		if useGather {
+			s.ga.tally(v, adj, k, sorted)
+		}
 		return 0, exec.Colored
 	}
 
@@ -243,8 +244,8 @@ func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *
 }
 
 // dctSequential is the one-worker fast path of DCTOpts: the same owned
-// pass (ascending index order, gather/PUV reads, identical counters and
-// round span) with no goroutines, rings or escaping closures. On a
+// pass (ascending index order, PUV break, identical counters and round
+// span) with no goroutines, rings or escaping closures. On a
 // fitting Scratch the entire run — including the returned Result — is
 // allocation-free in steady state.
 func dctSequential(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *Scratch) (*Result, metrics.ParallelStats, error) {
@@ -282,25 +283,18 @@ func dctSequential(ctx context.Context, g *graph.CSR, maxColors int, opts Option
 		}
 		s.state.Reset()
 		adj := g.Neighbors(graph.VertexID(v))
+		k := len(adj)
 		for i, u := range adj {
 			if int(u) > v {
 				// The higher-indexed tail defers on v under the DCT rule
 				// and is never read; on a sorted list it prunes as a break.
-				if !sorted {
-					continue
+				if sorted {
+					k = i
+					break
 				}
-				if useGather {
-					sh.Add(obs.CtrPrunedTail, int64(len(adj)-i))
-				}
-				break
+				continue
 			}
-			var c uint32
-			if useGather {
-				c = s.ga.load(u)
-			} else {
-				c = shared[u]
-			}
-			s.state.OrColorNum(c)
+			s.state.OrColorNum(shared[u])
 		}
 		pick, _ := s.codec.FirstFree(s.state)
 		if pick == 0 {
@@ -309,6 +303,9 @@ func dctSequential(ctx context.Context, g *graph.CSR, maxColors int, opts Option
 		}
 		shared[v] = uint32(pick)
 		sh.Inc(obs.CtrVertices)
+		if useGather {
+			s.ga.tally(graph.VertexID(v), adj, k, sorted)
+		}
 	}
 	fold()
 	st.Rounds = 1

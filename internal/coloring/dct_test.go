@@ -3,6 +3,7 @@ package coloring
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -234,7 +235,7 @@ func TestDCTRaceStress(t *testing.T) {
 // (recorded in GatherStats), ForceGather overrides the heuristic, and
 // DisableGather is never reported as an auto decision.
 func TestAdaptiveGatherDecision(t *testing.T) {
-	sparse := pathGraph(t, 4000)                    // avg degree ~2: below the threshold
+	sparse := pathGraph(t, 4000)                            // avg degree ~2: below the threshold
 	dense, _ := reorder.DBG(randomGraph(t, 1000, 12000, 5)) // avg degree ~24: above it
 	engines := []struct {
 		name string
@@ -328,5 +329,52 @@ func TestDCTQualityOnTable3(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnsortedLiteralMatchesGreedy: a CSR literal with unsorted lists
+// starts with its sortedness unknown. Every engine that promises
+// sequential greedy's coloring must still give it byte for byte, on the
+// run that scans and records the sortedness and on later runs that read
+// the memo — and again after SortEdges flips the memo to sorted.
+func TestUnsortedLiteralMatchesGreedy(t *testing.T) {
+	ctx := context.Background()
+	h, _ := reorder.DBG(randomGraph(t, 1200, 14000, 12))
+	want, err := Greedy(ctx, h, MaxColorsDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev := reverseLists(h)
+	type point struct {
+		engine          string
+		workers, shards int
+	}
+	points := []point{{"bitwise", 1, 0}}
+	for _, w := range []int{1, 2, 4} {
+		points = append(points, point{"dct", w, 0})
+		for _, s := range []int{1, 2, 3} {
+			points = append(points, point{"sharded", w, s})
+		}
+	}
+	for _, p := range points {
+		g := &graph.CSR{Offsets: rev.Offsets, Edges: slices.Clone(rev.Edges)}
+		info, _ := Lookup(p.engine)
+		for _, phase := range []string{"first", "memo", "memo", "sorted"} {
+			if phase == "sorted" {
+				g.SortEdges()
+			}
+			res, _, err := info.Run(ctx, g, Options{Workers: p.workers, Shards: p.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Colors, want.Colors) {
+				t.Fatalf("%+v %s run: colors differ from sequential greedy", p, phase)
+			}
+			// The DCT kernels read the sortedness (bitwise never does), so
+			// after their run it is known and right.
+			if p.engine != "bitwise" && (!g.SortednessKnown() || g.EdgesSorted() != (phase == "sorted")) {
+				t.Fatalf("%+v after %s run: known=%v sorted=%v", p, phase, g.SortednessKnown(), g.EdgesSorted())
+			}
+		}
 	}
 }

@@ -44,7 +44,8 @@ type Options struct {
 	Workers int
 	// DisableGather switches off the blocked color-gather and PUV tail
 	// pruning, restoring the naive per-neighbor random-access path — the
-	// baseline arm of the locality ablation.
+	// baseline arm of the locality ablation. The DCT kernels read the
+	// same way either way; there it only drops the gather report.
 	DisableGather bool
 	// ForceGather keeps the blocked color-gather on even when the
 	// adaptive heuristic would switch it off (average degree below
@@ -174,6 +175,41 @@ func newGather(shared []uint32, hotVertices int, sh *obs.Shard) *gather {
 	ga := new(gather)
 	ga.init(shared, hotVertices, sh)
 	return ga
+}
+
+// tally adds one colored vertex's gather counts to the worker's shard:
+// the DCT kernels' once-per-vertex replacement for load's per-read
+// counting. adj is v's list and k the kernel's PUV break index
+// (len(adj) when nothing was pruned). On a sorted list the reads are
+// adj[:k] and the pruned tail adj[k:]; when v < v_t every read is
+// hot-tier, so the whole tally is two additions. Otherwise the reads at
+// or above v_t are classified in order against the last-block register,
+// as load would have classified them, and an unsorted list (no break)
+// skips the higher-indexed entries the kernel skipped.
+func (ga *gather) tally(v graph.VertexID, adj []graph.VertexID, k int, sorted bool) {
+	if sorted {
+		ga.sh.Add(obs.CtrPrunedTail, int64(len(adj)-k))
+		if v < ga.vt {
+			ga.sh.Add(obs.CtrHotReads, int64(k))
+			return
+		}
+	}
+	var hot, merged, cold int64
+	for _, u := range adj[:k] {
+		switch {
+		case u > v:
+		case u < ga.vt:
+			hot++
+		case int64(u>>colorBlockShift) == ga.lastBlock:
+			merged++
+		default:
+			ga.lastBlock = int64(u >> colorBlockShift)
+			cold++
+		}
+	}
+	ga.sh.Add(obs.CtrHotReads, hot)
+	ga.sh.Add(obs.CtrMergedReads, merged)
+	ga.sh.Add(obs.CtrColdBlockLoads, cold)
 }
 
 // load returns u's live color and classifies the access as hot-tier,

@@ -2,10 +2,14 @@ package coloring
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"bitcolor/internal/cache"
 	"bitcolor/internal/gen"
+	"bitcolor/internal/graph"
+	"bitcolor/internal/metrics"
+	"bitcolor/internal/obs"
 	"bitcolor/internal/reorder"
 )
 
@@ -168,4 +172,99 @@ func TestSpeculativeGatherRaceStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// referenceDCTGather is the DCT kernel's per-read counting loop as it ran
+// before the counts moved to once per colored vertex: every lower
+// neighbor read goes through gather.load, and the pruned tail is added at
+// the PUV break. Which neighbors a pass reads does not depend on their
+// colors, so one sequential walk gives a one-worker run's counts.
+func referenceDCTGather(g *graph.CSR, hotVertices int) metrics.GatherStats {
+	n := g.NumVertices()
+	ss := obs.NewShardSet(1)
+	sh := ss.Shard(0)
+	var ga gather
+	ga.init(make([]uint32, n), hotVertices, sh)
+	sorted := g.EdgesSorted()
+	for v := 0; v < n; v++ {
+		adj := g.Neighbors(graph.VertexID(v))
+		for i, u := range adj {
+			if int(u) > v {
+				if !sorted {
+					continue
+				}
+				sh.Add(obs.CtrPrunedTail, int64(len(adj)-i))
+				break
+			}
+			ga.load(u)
+		}
+	}
+	return metrics.GatherStats{
+		HotReads:       ss.Total(obs.CtrHotReads),
+		MergedReads:    ss.Total(obs.CtrMergedReads),
+		ColdBlockLoads: ss.Total(obs.CtrColdBlockLoads),
+		PrunedTail:     ss.Total(obs.CtrPrunedTail),
+	}
+}
+
+// TestDCTGatherCountsMatchPerReadCounting: DCT's once-per-vertex gather
+// counts equal the per-read counting loop's at one worker, through both
+// the dct engine and the sharded engine's one-shard path, on every
+// Table 3 stand-in, with every read hot (the default v_t) and with v_t
+// below n so merged and cold reads occur. At two workers the hot and
+// pruned counts, and the cold-tier total, are unchanged; only the split
+// between merged and cold may move, since each worker keeps its own
+// last-block register. An unsorted copy of each graph exercises the
+// no-break path.
+func TestDCTGatherCountsMatchPerReadCounting(t *testing.T) {
+	ctx := context.Background()
+	for _, d := range gen.SmallRegistry() {
+		t.Run(d.Abbrev, func(t *testing.T) {
+			g, err := d.Build(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, _ := reorder.DBG(g)
+			unsorted := reverseLists(h)
+			n := h.NumVertices()
+			for _, c := range []struct {
+				name string
+				g    *graph.CSR
+				hot  int
+			}{{"default", h, 0}, {"vt=n/4", h, n / 4}, {"unsorted vt=n/4", unsorted, n / 4}} {
+				want := referenceDCTGather(c.g, c.hot)
+				if c.hot > 0 && (want.MergedReads == 0 || want.ColdBlockLoads == 0) {
+					t.Fatalf("%s: reference saw no cold-tier reads: %+v", c.name, want)
+				}
+				run := func(engine string, workers int) metrics.GatherStats {
+					info, _ := Lookup(engine)
+					_, st, err := info.Run(ctx, c.g, Options{Workers: workers, Shards: 1, ForceGather: true, HotVertices: c.hot})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st.Gather
+				}
+				for _, engine := range []string{"dct", "sharded"} {
+					if got := run(engine, 1); got != want {
+						t.Fatalf("%s %s w=1: gather %+v, per-read counting %+v", c.name, engine, got, want)
+					}
+				}
+				got := run("dct", 2)
+				if got.HotReads != want.HotReads || got.PrunedTail != want.PrunedTail ||
+					got.MergedReads+got.ColdBlockLoads != want.MergedReads+want.ColdBlockLoads {
+					t.Fatalf("%s w=2: gather %+v, per-read counting at w=1 %+v", c.name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// reverseLists returns a CSR literal holding g's lists reversed, so its
+// sortedness starts unknown and a scan finds it unsorted.
+func reverseLists(g *graph.CSR) *graph.CSR {
+	c := g.Clone()
+	for v := 0; v < c.NumVertices(); v++ {
+		slices.Reverse(c.Neighbors(graph.VertexID(v)))
+	}
+	return c
 }

@@ -367,38 +367,3 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 	}
 	return sc.result(colors, sc.distinctColors(colors), OpStats{}), st, nil
 }
-
-// VerifySharded is Verify streamed through a BCSR v3 handle: every
-// vertex colored, no adjacent pair sharing a color, checked one shard
-// mapping at a time (each shard's section holds the full global
-// adjacency of its vertices, so the sweep covers every directed entry
-// without materializing the CSR).
-func VerifySharded(sf *graph.ShardedFile, colors []uint16) error {
-	n := sf.NumVertices()
-	if len(colors) != n {
-		return fmt.Errorf("coloring: %d colors for %d vertices", len(colors), n)
-	}
-	for shard := 0; shard < sf.Shards(); shard++ {
-		sm, err := sf.MapShard(shard)
-		if err != nil {
-			return err
-		}
-		for i, v := range sm.VMap {
-			cv := colors[v]
-			if cv == 0 {
-				sm.Close()
-				return fmt.Errorf("coloring: vertex %d uncolored", v)
-			}
-			for _, w := range sm.Neighbors(i) {
-				if colors[w] == cv {
-					sm.Close()
-					return fmt.Errorf("coloring: adjacent vertices %d and %d share color %d", v, w, cv)
-				}
-			}
-		}
-		if err := sm.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // VertexID is a dense vertex index. The paper uses 32-bit indices (the
@@ -19,6 +20,11 @@ import (
 type VertexID = uint32
 
 // CSR is a graph in compressed sparse row format.
+//
+// Adjacency must not be rewritten in place once the graph is in use,
+// except through SortEdges or SortEdgesParallel: engines assume an
+// immutable graph during a run, and EdgesSorted memoizes its answer on
+// the graph. Code that reorders lists some other way calls ResetSorted.
 type CSR struct {
 	// Offsets has length NumVertices+1; Offsets[v] is the index in Edges
 	// of the first neighbor of v (the paper's s_e; d_e is Offsets[v+1]).
@@ -31,7 +37,41 @@ type CSR struct {
 	// Engines never look at it; it exists so handle types can tell a
 	// mapped view from an owned copy.
 	backing interface{ Close() error }
+
+	// sorted memoizes EdgesSorted: sortUnknown until a scan, Validate,
+	// a sort or a sorting builder records the answer. Atomic, so two
+	// goroutines may use a fresh graph at once.
+	sorted atomic.Uint32
 }
+
+// Values of CSR.sorted.
+const (
+	sortUnknown uint32 = iota
+	sortYes
+	sortNo
+)
+
+// recordSorted memoizes the answer EdgesSorted would compute.
+func (g *CSR) recordSorted(sorted bool) {
+	if sorted {
+		g.sorted.Store(sortYes)
+	} else {
+		g.sorted.Store(sortNo)
+	}
+}
+
+// MarkSorted records that every adjacency list is ascending, for
+// builders that sort each list as they write it; EdgesSorted then
+// answers without a scan. The caller vouches for the claim.
+func (g *CSR) MarkSorted() { g.sorted.Store(sortYes) }
+
+// ResetSorted forgets the memoized sortedness after adjacency was
+// reordered in place by anything other than SortEdges.
+func (g *CSR) ResetSorted() { g.sorted.Store(sortUnknown) }
+
+// SortednessKnown reports whether EdgesSorted will answer from the memo,
+// without scanning the adjacency.
+func (g *CSR) SortednessKnown() bool { return g.sorted.Load() != sortUnknown }
 
 // Backed reports whether the CSR's payload aliases externally owned
 // storage (an open mmap region) rather than process-owned slices.
@@ -101,6 +141,15 @@ func (g *CSR) HasEdge(u, v VertexID) bool {
 // Validate checks structural invariants: monotone offsets covering Edges
 // exactly, and every destination within range. It returns the first
 // violation found.
+//
+// Validate also records whether every adjacency list is sorted, so the
+// first EdgesSorted after a load costs nothing. The offsets pass counts
+// the list starts that hold a descent (an entry below its predecessor),
+// and one walk over the destinations counts all descents: when the two
+// agree, every list is sorted. A sorted list's last entry is its
+// maximum, so the range check then reads only last entries; a
+// violation, or an unsorted graph, re-scans in order so the error names
+// the first bad entry.
 func (g *CSR) Validate() error {
 	n := g.NumVertices()
 	if len(g.Offsets) == 0 {
@@ -112,22 +161,53 @@ func (g *CSR) Validate() error {
 	if g.Offsets[0] != 0 {
 		return fmt.Errorf("graph: Offsets[0] = %d, want 0", g.Offsets[0])
 	}
+	edges := g.Edges
+	ne := int64(len(edges))
+	atStarts := 0
+	var top VertexID // largest last entry of a non-empty list
 	for v := 0; v < n; v++ {
-		if g.Offsets[v+1] < g.Offsets[v] {
-			return fmt.Errorf("graph: offsets not monotone at vertex %d (%d > %d)",
-				v, g.Offsets[v], g.Offsets[v+1])
+		lo, hi := g.Offsets[v], g.Offsets[v+1]
+		if hi < lo {
+			return fmt.Errorf("graph: offsets not monotone at vertex %d (%d > %d)", v, lo, hi)
+		}
+		// An offset past len(Edges) fails the terminator check below,
+		// so skipping such a list here loses nothing.
+		if lo < hi && hi <= ne {
+			if lo > 0 && edges[lo] < edges[lo-1] {
+				atStarts++
+			}
+			top = max(top, edges[hi-1])
 		}
 	}
-	if g.Offsets[n] != int64(len(g.Edges)) {
+	if g.Offsets[n] != ne {
 		return fmt.Errorf("graph: Offsets[%d] = %d, want len(Edges) = %d",
 			n, g.Offsets[n], len(g.Edges))
 	}
-	for i, d := range g.Edges {
-		if int(d) >= n {
-			return fmt.Errorf("graph: edge %d destination %d out of range (n=%d)", i, d, n)
+	sorted := descents(edges) == atStarts
+	if !sorted || (ne > 0 && int(top) >= n) {
+		for i, d := range edges {
+			if int(d) >= n {
+				return fmt.Errorf("graph: edge %d destination %d out of range (n=%d)", i, d, n)
+			}
 		}
 	}
+	g.recordSorted(sorted)
 	return nil
+}
+
+// descents counts the entries of es below their predecessor. The count
+// is branch-free: the difference of two zero-extended 32-bit values has
+// its top bit set exactly when it is negative.
+func descents(es []VertexID) int {
+	if len(es) == 0 {
+		return 0
+	}
+	d, prev := 0, es[0]
+	for _, e := range es[1:] {
+		d += int((uint64(e) - uint64(prev)) >> 63)
+		prev = e
+	}
+	return d
 }
 
 // IsUndirected reports whether every stored edge has its reverse present.
@@ -157,8 +237,24 @@ func (g *CSR) HasSelfLoops() bool {
 
 // EdgesSorted reports whether every vertex's adjacency list is in
 // ascending destination order — the paper's preprocessing invariant for
-// DRAM read merging (§3.2.2) and tail pruning.
+// DRAM read merging (§3.2.2) and tail pruning. Sortedness is a fact of
+// the graph, not of a run: the first call scans, unless Validate, a
+// sort or a sorting builder already recorded the answer, and every
+// later call reads the memo.
 func (g *CSR) EdgesSorted() bool {
+	switch g.sorted.Load() {
+	case sortYes:
+		return true
+	case sortNo:
+		return false
+	}
+	sorted := g.scanSorted()
+	g.recordSorted(sorted)
+	return sorted
+}
+
+// scanSorted is EdgesSorted's O(E) scan.
+func (g *CSR) scanSorted() bool {
 	for v := 0; v < g.NumVertices(); v++ {
 		adj := g.Neighbors(VertexID(v))
 		for i := 1; i < len(adj); i++ {
@@ -175,9 +271,11 @@ func (g *CSR) SortEdges() {
 	for v := 0; v < g.NumVertices(); v++ {
 		slices.Sort(g.Neighbors(VertexID(v)))
 	}
+	g.MarkSorted()
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. Its sortedness starts
+// unknown, so a caller may reorder the copy's lists before first use.
 func (g *CSR) Clone() *CSR {
 	return &CSR{
 		Offsets: append([]int64(nil), g.Offsets...),
@@ -262,6 +360,7 @@ func FromEdgeList(n int, edges []Edge) (*CSR, error) {
 	}
 	g := &CSR{Offsets: offsets, Edges: adj}
 	g.dedupSorted()
+	g.MarkSorted()
 	return g, nil
 }
 

@@ -172,16 +172,16 @@ func FuzzReadBinaryV2(f *testing.F) {
 		return b
 	}
 	f.Add(valid)
-	f.Add(mut(func(b []byte) { b[len(b)-1] ^= 0xff }))                                // payload checksum
-	f.Add(mut(func(b []byte) { b[57] ^= 0xff }))                                      // header checksum
-	f.Add(mut(func(b []byte) { b[12] ^= byte(binaryV2FlagBigEndian) }))               // flipped endianness flag
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[4:12], 1) }))          // v1 version in v2 image
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[32:40], 72) }))        // misaligned offsets section
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[40:48], 1<<40 | 64) }) /* far-away edges */)
-	f.Add(valid[:binaryV2HeaderSize])    // truncated: header only
-	f.Add(valid[:binaryV2HeaderSize+8])  // truncated offsets
-	f.Add(valid[:len(valid)-3])          // truncated edges
-	f.Add(valid[:40])                    // truncated header
+	f.Add(mut(func(b []byte) { b[len(b)-1] ^= 0xff }))                         // payload checksum
+	f.Add(mut(func(b []byte) { b[57] ^= 0xff }))                               // header checksum
+	f.Add(mut(func(b []byte) { b[12] ^= byte(binaryV2FlagBigEndian) }))        // flipped endianness flag
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[4:12], 1) }))   // v1 version in v2 image
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[32:40], 72) })) // misaligned offsets section
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[40:48], 1<<40|64) }) /* far-away edges */)
+	f.Add(valid[:binaryV2HeaderSize])   // truncated: header only
+	f.Add(valid[:binaryV2HeaderSize+8]) // truncated offsets
+	f.Add(valid[:len(valid)-3])         // truncated edges
+	f.Add(valid[:40])                   // truncated header
 	// A v1 image fed to the v2 parser (magic confusion the other way).
 	var v1 bytes.Buffer
 	if err := WriteBinary(&v1, g); err != nil {
@@ -227,6 +227,12 @@ func FuzzReadBinaryV2(f *testing.F) {
 		if mg.NumVertices() != g.NumVertices() || mg.NumEdges() != g.NumEdges() {
 			t.Fatalf("mapped view disagrees with copying reader: %s vs %s", mg, g)
 		}
+		// Both opens validated the payload, which records sortedness.
+		if !g.SortednessKnown() || !mg.SortednessKnown() ||
+			g.EdgesSorted() != g.scanSorted() || mg.EdgesSorted() != g.scanSorted() {
+			t.Fatalf("recorded sortedness (%v, mapped %v) disagrees with a scan (%v)",
+				g.EdgesSorted(), mg.EdgesSorted(), g.scanSorted())
+		}
 	})
 }
 
@@ -252,22 +258,22 @@ func FuzzReadBinaryV3(f *testing.F) {
 		return b
 	}
 	f.Add(valid)
-	f.Add(mut(func(b []byte) { b[57] ^= 0xff }))                                 // header checksum
-	f.Add(mut(func(b []byte) { b[12] ^= byte(binaryV3FlagBigEndian) }))          // flipped endianness flag
-	f.Add(mut(func(b []byte) { b[13] ^= 0x01 }))                                 // unknown flag bit
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[4:12], 2) }))     // v2 version in v3 image
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint32(b[32:36], 0) }))    // zero shards
-	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint32(b[36:40], 99) }))   // unknown strategy
-	f.Add(mut(func(b []byte) { b[44] ^= 0xff }))                                 // source hash
-	f.Add(mut(func(b []byte) { b[binaryV3HeaderSize+2] ^= 0xff }))               // parts array (meta CRC)
-	f.Add(mut(func(b []byte) { b[binaryV3HeaderSize+6*4+16+8] ^= 0xff }))        // directory record
-	f.Add(mut(func(b []byte) { b[128+8] ^= 0xff }))                              // section payload
-	f.Add(mut(func(b []byte) { b[len(b)-65] ^= 0xff }))                          // last section
-	f.Add(valid[:binaryV3HeaderSize])     // truncated: header only
-	f.Add(valid[:binaryV3HeaderSize+4])   // truncated parts
-	f.Add(valid[:binaryV3HeaderSize+40])  // truncated directory
-	f.Add(valid[:len(valid)/2])           // truncated sections
-	f.Add(valid[:40])                     // truncated header
+	f.Add(mut(func(b []byte) { b[57] ^= 0xff }))                               // header checksum
+	f.Add(mut(func(b []byte) { b[12] ^= byte(binaryV3FlagBigEndian) }))        // flipped endianness flag
+	f.Add(mut(func(b []byte) { b[13] ^= 0x01 }))                               // unknown flag bit
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint64(b[4:12], 2) }))   // v2 version in v3 image
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint32(b[32:36], 0) }))  // zero shards
+	f.Add(mut(func(b []byte) { binary.LittleEndian.PutUint32(b[36:40], 99) })) // unknown strategy
+	f.Add(mut(func(b []byte) { b[44] ^= 0xff }))                               // source hash
+	f.Add(mut(func(b []byte) { b[binaryV3HeaderSize+2] ^= 0xff }))             // parts array (meta CRC)
+	f.Add(mut(func(b []byte) { b[binaryV3HeaderSize+6*4+16+8] ^= 0xff }))      // directory record
+	f.Add(mut(func(b []byte) { b[128+8] ^= 0xff }))                            // section payload
+	f.Add(mut(func(b []byte) { b[len(b)-65] ^= 0xff }))                        // last section
+	f.Add(valid[:binaryV3HeaderSize])                                          // truncated: header only
+	f.Add(valid[:binaryV3HeaderSize+4])                                        // truncated parts
+	f.Add(valid[:binaryV3HeaderSize+40])                                       // truncated directory
+	f.Add(valid[:len(valid)/2])                                                // truncated sections
+	f.Add(valid[:40])                                                          // truncated header
 	// A v2 image fed to the v3 parser (version confusion the other way).
 	var v2 bytes.Buffer
 	if err := WriteBinaryV2(&v2, g); err != nil {

@@ -224,7 +224,7 @@ func parseV2Header(hdr []byte) (v2HeaderFields, error) {
 	f.offsetsOff = binary.LittleEndian.Uint64(hdr[32:40])
 	f.edgesOff = binary.LittleEndian.Uint64(hdr[40:48])
 	f.payloadSum = binary.LittleEndian.Uint64(hdr[48:56])
-	if f.flags &^ binaryV2FlagBigEndian != 0 {
+	if f.flags&^binaryV2FlagBigEndian != 0 {
 		return f, fmt.Errorf("graph: unknown v2 flags %#x", f.flags)
 	}
 	if f.nv > binaryMaxVertices {
@@ -352,7 +352,7 @@ func (c *closeOnce) done() bool { return c.closed.Load() }
 // to the copying reader behaves identically but holds no mapping
 // (Mapped reports false) and Close only bars further use.
 type MappedCSR struct {
-	g     CSR
+	g     *CSR
 	data  []byte // the mmap'd region; nil on the copying fallback
 	close closeOnce
 }
@@ -363,7 +363,7 @@ func (m *MappedCSR) Graph() *CSR {
 	if m.close.done() {
 		panic("graph: MappedCSR used after Close")
 	}
-	return &m.g
+	return m.g
 }
 
 // Mapped reports whether the payload aliases an mmap'd region (false
@@ -379,7 +379,7 @@ func (m *MappedCSR) Close() error {
 	}
 	data := m.data
 	m.data = nil
-	m.g = CSR{}
+	*m.g = CSR{}
 	if data != nil {
 		return munmap(data)
 	}
@@ -446,7 +446,7 @@ func MapBinaryFile(path string) (*MappedCSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MappedCSR{g: *g}, nil
+	return &MappedCSR{g: g}, nil
 }
 
 // mapBinaryFile is the zero-copy attempt behind MapBinaryFile. It
@@ -511,7 +511,7 @@ func newMappedCSR(data []byte, fields v2HeaderFields) (*MappedCSR, error) {
 	if uintptr(offPtr)%8 != 0 {
 		return nil, fmt.Errorf("%w: mapping not 8-byte aligned", errMmapFallback)
 	}
-	var g CSR
+	g := &CSR{}
 	g.Offsets = unsafe.Slice((*int64)(offPtr), fields.nv+1)
 	if fields.ne > 0 {
 		g.Edges = unsafe.Slice((*VertexID)(unsafe.Pointer(&data[fields.edgesOff])), fields.ne)

@@ -177,7 +177,7 @@ func TestBinaryV3CorruptionDetected(t *testing.T) {
 		{"header shard count", 32},
 		{"meta parts byte", binaryV3HeaderSize + 3},
 		{"meta directory byte", binaryV3HeaderSize + 200*4 + 16 + 40},
-		{"first section byte", 1156},      // inside shard 0's offsets
+		{"first section byte", 1156},         // inside shard 0's offsets
 		{"last section byte", len(img) - 65}, // past the ≤63-byte trailing pad
 	}
 	for _, tc := range cases {

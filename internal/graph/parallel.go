@@ -57,4 +57,5 @@ func (g *CSR) SortEdgesParallel(workers int) {
 		}()
 	}
 	wg.Wait()
+	g.MarkSorted()
 }

@@ -85,6 +85,14 @@ func Mean(xs []float64) float64 {
 // MGR); ColdBlockLoads are fresh block fetches; PrunedTail counts sorted
 // adjacency entries skipped by uncolored-vertex pruning's tail break
 // (PUV).
+//
+// The speculative engines and the multi-shard sharded kernels count
+// every read. The DCT kernels (dct, and sharded at one shard) count once
+// per colored vertex: its reads and pruned tail, with the reads at or
+// above v_t classified in order against the worker's last-block
+// register. Their counts equal per-read counting at one worker; at more
+// they leave out replayed reads (DeferRetries counts those), and the
+// merged/cold split depends on which worker colored which vertex.
 type GatherStats struct {
 	HotReads       int64
 	MergedReads    int64
@@ -166,6 +174,7 @@ type RunStats struct {
 	BlocksPerWorker []int64
 	// Gather aggregates the blocked color-gather's locality counters
 	// across workers; zero when the engine ran with the gather disabled.
+	// The DCT kernels add them per colored vertex (see GatherStats).
 	Gather GatherStats
 	// HotThreshold is the gather's hot-tier boundary v_t (0 = disabled).
 	HotThreshold uint32

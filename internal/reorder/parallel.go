@@ -73,7 +73,9 @@ func ApplyParallel(g *graph.CSR, p *Permutation, workers int) *graph.CSR {
 		}()
 	}
 	wg.Wait()
-	return &graph.CSR{Offsets: offsets, Edges: edges}
+	out := &graph.CSR{Offsets: offsets, Edges: edges}
+	out.MarkSorted()
+	return out
 }
 
 // DBGParallel is DBG with the relabel pass parallelized across `workers`

@@ -56,6 +56,9 @@ func TestDBGParallelEquivalence(t *testing.T) {
 				if !IsDegreeDescending(gotG) {
 					t.Fatal("parallel DBG output not degree-descending")
 				}
+				if !gotG.SortednessKnown() || !wantG.SortednessKnown() {
+					t.Fatal("DBG output does not record that it sorted its lists")
+				}
 				if !gotG.EdgesSorted() {
 					t.Fatal("parallel DBG output not edge-sorted")
 				}

@@ -164,6 +164,7 @@ func ShuffleEdges(g *graph.CSR, seed int64) {
 			adj[i], adj[j] = adj[j], adj[i]
 		}
 	}
+	g.ResetSorted()
 }
 
 // TranslateColors maps a color assignment on the reordered graph back to

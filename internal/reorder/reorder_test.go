@@ -107,6 +107,9 @@ func TestShuffleEdgesPreservesSetAndBreaksOrder(t *testing.T) {
 	g := randomGraph(t, 100, 800, 5)
 	before := graph.ComputeStats(g)
 	ShuffleEdges(g, 99)
+	if g.SortednessKnown() {
+		t.Fatal("ShuffleEdges kept the graph's sortedness memo")
+	}
 	after := graph.ComputeStats(g)
 	if before.DirectedEdges != after.DirectedEdges {
 		t.Fatal("shuffle changed edge count")

@@ -222,3 +222,43 @@ func TestRegistryZeroAllocSweep(t *testing.T) {
 		t.Errorf("pool not idle after sweep: in use %d, waiting %d", pool.InUse(), pool.Waiting())
 	}
 }
+
+// TestResidentRequestSkipsSortScan: every way a resident graph arrives —
+// built from edges, preprocessed, or opened from a mapped BCSR v2 file —
+// leaves its sortedness recorded, so no color request scans adjacency
+// for it. A CSR literal records it on its first request.
+func TestResidentRequestSkipsSortScan(t *testing.T) {
+	g, err := Generate("GD", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := Preprocess(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gd.bcsr")
+	if err := SaveGraphV2(path, prepared); err != nil {
+		t.Fatal(err)
+	}
+	h, err := OpenGraphFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	literal := &Graph{Offsets: prepared.Offsets, Edges: prepared.Edges}
+	if literal.SortednessKnown() {
+		t.Fatal("CSR literal starts with sortedness known")
+	}
+	opts := ColorOptions{Engine: EngineDCT, Workers: 2}
+	if _, _, err := ColorContext(context.Background(), literal, opts); err != nil {
+		t.Fatal(err)
+	}
+	for name, gr := range map[string]*Graph{"generated": g, "preprocessed": prepared, "mapped v2": h.Graph(), "literal after a request": literal} {
+		if !gr.SortednessKnown() {
+			t.Errorf("%s graph: sortedness unknown, so a color request would scan", name)
+		}
+	}
+	if !h.Mapped() {
+		t.Log("mapped path unavailable here; the copying reader was checked instead")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"bitcolor/internal/coloring"
 	"bitcolor/internal/obs"
 )
 
@@ -156,10 +157,11 @@ func (p Pipeline) Run(ctx context.Context, g *Graph) (*PipelineResult, error) {
 
 	// Verify against the ORIGINAL graph — this also proves the
 	// un-permutation is consistent, since a misapplied permutation would
-	// break properness on g.
+	// break properness on g. The check splits across the color run's
+	// workers, as ColorContext's does.
 	sp = root.Child("verify")
 	start = time.Now()
-	err = Verify(g, res.Colors)
+	err = coloring.VerifyParallel(g, res.Colors, verifyWorkers(p.Color, st))
 	stage("verify", start, sp, err)
 	if err != nil {
 		return pr, fmt.Errorf("bitcolor: pipeline produced an invalid coloring: %w", err)
