@@ -55,14 +55,6 @@ func NewGraph(n int, edges []Edge) (*Graph, error) {
 	return graph.FromEdgeList(n, edges)
 }
 
-// NewGraphParallel is NewGraph; workers is ignored.
-//
-// Deprecated: NewGraph's sort-free build outran the parallel build this
-// once selected. Call NewGraph.
-func NewGraphParallel(n int, edges []Edge, workers int) (*Graph, error) {
-	return NewGraph(n, edges)
-}
-
 // On-disk graph format names, as sniffed by OpenGraphFile and used as
 // the "format" label on the bitcolor_graph_load_* metric families.
 const (
@@ -402,42 +394,23 @@ func Generate(abbrev string, seed int64) (*Graph, error) {
 // Datasets lists the Table 3 abbreviations.
 func Datasets() []string { return gen.Abbrevs() }
 
-// PreprocessOption configures Preprocess and PreprocessWithPermutation.
-type PreprocessOption func(*preprocessConfig)
-
-type preprocessConfig struct {
-	workers int
-}
-
-// WithPreprocessParallelism sets the number of goroutines the
-// preprocessing pipeline (degree scatter, relabel, per-vertex edge
-// sorting) may use; n <= 0 means GOMAXPROCS. The output is identical to
-// the sequential pipeline at any parallelism.
-func WithPreprocessParallelism(n int) PreprocessOption {
-	return func(c *preprocessConfig) { c.workers = n }
-}
-
 // Preprocess applies the paper's preprocessing: degree-based-grouping
-// reordering (descending degree) and ascending edge sorting. The
-// returned graph is what the accelerator expects; colors assigned to it
-// map back to the original IDs through the permutation available from
-// PreprocessWithPermutation.
-func Preprocess(g *Graph, opts ...PreprocessOption) (*Graph, error) {
-	out, _, err := PreprocessWithPermutation(g, opts...)
+// reordering (descending degree), which leaves every adjacency list
+// ascending. The returned graph is what the accelerator expects; colors
+// assigned to it map back to the original IDs through the permutation
+// available from PreprocessWithPermutation.
+func Preprocess(g *Graph) (*Graph, error) {
+	out, _, err := PreprocessWithPermutation(g)
 	return out, err
 }
 
 // PreprocessWithPermutation is Preprocess returning the vertex renaming:
 // NewID[old] gives the reordered index of an original vertex.
-func PreprocessWithPermutation(g *Graph, opts ...PreprocessOption) (*Graph, []VertexID, error) {
-	var cfg preprocessConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
+func PreprocessWithPermutation(g *Graph) (*Graph, []VertexID, error) {
 	if err := g.Validate(); err != nil {
 		return nil, nil, err
 	}
-	out, p := reorder.DBGParallel(g, cfg.workers)
+	out, p := reorder.DBG(g)
 	return out, p.NewID, nil
 }
 

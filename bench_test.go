@@ -294,9 +294,9 @@ func BenchmarkParallelBitwiseNoGather(b *testing.B) {
 	}
 }
 
-// BenchmarkPreprocessParallel measures the preprocessing pipeline: the
-// CSR build, then the DBG relabel, which takes the worker count.
-func BenchmarkPreprocessParallel(b *testing.B) {
+// BenchmarkPreprocess measures the preprocessing pipeline: the CSR
+// build, then the DBG relabel.
+func BenchmarkPreprocess(b *testing.B) {
 	g, err := Generate("GD", 1)
 	if err != nil {
 		b.Fatal(err)
@@ -309,22 +309,14 @@ func BenchmarkPreprocessParallel(b *testing.B) {
 			}
 		}
 	}
-	sweep := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		sweep = append(sweep, p)
-	}
-	for _, w := range sweep {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				built, err := NewGraph(g.NumVertices(), edges)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := Preprocess(built, WithPreprocessParallelism(w)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		built, err := NewGraph(g.NumVertices(), edges)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Preprocess(built); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command preprocess applies BitColor's preprocessing — degree-based
-// grouping (DBG) reordering and per-vertex edge sorting — to a graph and
-// reports the Table 2 style timings (reordering vs coloring) plus a
-// per-stage breakdown (load / build / sort / DBG) of the pipeline.
+// grouping (DBG) reordering, which leaves every adjacency list sorted —
+// to a graph and reports the Table 2 style timings (reordering vs
+// coloring) plus a per-stage breakdown (load / build / DBG) of the
+// pipeline.
 //
 // Usage:
 //
@@ -11,7 +12,6 @@
 //	preprocess -input graph.txt -out graph-dbg.bcsr -obin-v3 -shards 8
 //	preprocess -input old.bcsr -convert -obin-v3 -shards 4 -out new.bcsr
 //	preprocess -dataset CO -time
-//	preprocess -input graph.txt -parallel 8
 //
 // -obin-v2 writes -out in the mmap-ready BCSR v2 format instead of v1;
 // -obin-v3 writes the shard-major BCSR v3 format, partitioning into
@@ -48,7 +48,6 @@ func main() {
 		convert    = flag.Bool("convert", false, "skip preprocessing and write the input graph to -out unchanged (format conversion)")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		showTime   = flag.Bool("time", false, "report reordering vs coloring wall time (Table 2)")
-		parallel   = flag.Int("parallel", 0, "preprocessing workers (<=0: GOMAXPROCS)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the preprocessing to this file")
 	)
 	flag.Parse()
@@ -57,7 +56,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "preprocess:", err)
 		os.Exit(1)
 	}
-	err = run(*input, *dataset, *out, *seed, *showTime, *parallel,
+	err = run(*input, *dataset, *out, *seed, *showTime,
 		saveConfig{v2: *outV2, v3: *outV3, shards: *shards, strategy: *strategy}, *convert)
 	if perr := stopProf(); perr != nil && err == nil {
 		err = perr
@@ -111,7 +110,7 @@ func saveGraph(path string, g *bitcolor.Graph, cfg saveConfig) error {
 	}
 }
 
-func run(input, dataset, out string, seed int64, showTime bool, parallel int, save saveConfig, convert bool) error {
+func run(input, dataset, out string, seed int64, showTime bool, save saveConfig, convert bool) error {
 	// Stage 1+2: load (parse text / read binary / generate) and build
 	// (CSR construction). Text edge lists split the two so the build's
 	// share is visible; the other sources build internally.
@@ -161,30 +160,22 @@ func run(input, dataset, out string, seed int64, showTime bool, parallel int, sa
 		return saveGraph(out, g, save)
 	}
 
-	// Stage 3: per-vertex edge sorting (a no-op when the source already
-	// guarantees it — the check is part of the stage).
+	// Stage 3: DBG reordering (degree counting sort + relabel). The
+	// relabel writes every list sorted whatever the input order.
 	start = time.Now()
-	if !g.EdgesSorted() {
-		g.SortEdgesParallel(parallel)
-	}
-	sortTime := time.Since(start)
-
-	// Stage 4: DBG reordering (degree sort + parallel relabel).
-	start = time.Now()
-	prepared, perm := reorder.DBGParallel(g, parallel)
+	prepared, perm := reorder.DBG(g)
 	dbgTime := time.Since(start)
 	if err := perm.Validate(); err != nil {
 		return fmt.Errorf("internal: %w", err)
 	}
-	total := loadTime + buildTime + sortTime + dbgTime
+	total := loadTime + buildTime + dbgTime
 	fmt.Printf("reordered %d vertices, %d edges in %v\n",
 		prepared.NumVertices(), prepared.UndirectedEdgeCount(), dbgTime.Round(time.Microsecond))
 	fmt.Printf("degree-descending: %v, edges sorted: %v\n",
 		reorder.IsDegreeDescending(prepared), prepared.EdgesSorted())
-	fmt.Printf("pipeline: load %v, build %v, sort %v, dbg %v (total %v)\n",
+	fmt.Printf("pipeline: load %v, build %v, dbg %v (total %v)\n",
 		loadTime.Round(time.Microsecond), buildTime.Round(time.Microsecond),
-		sortTime.Round(time.Microsecond), dbgTime.Round(time.Microsecond),
-		total.Round(time.Microsecond))
+		dbgTime.Round(time.Microsecond), total.Round(time.Microsecond))
 
 	if showTime {
 		start = time.Now()

@@ -10,14 +10,14 @@ import (
 )
 
 func TestRunDatasetWithTiming(t *testing.T) {
-	if err := run("", "EF", "", 1, true, 0, saveConfig{}, false); err != nil {
+	if err := run("", "EF", "", 1, true, saveConfig{}, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunWritesOutput(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "dbg.bcsr")
-	if err := run("", "EF", out, 1, false, 2, saveConfig{}, false); err != nil {
+	if err := run("", "EF", out, 1, false, saveConfig{}, false); err != nil {
 		t.Fatal(err)
 	}
 	g, err := bitcolor.LoadGraph(out)
@@ -44,12 +44,12 @@ func TestRunFromFile(t *testing.T) {
 	if err := bitcolor.SaveGraph(in, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(in, "", "", 1, false, 0, saveConfig{}, false); err != nil {
+	if err := run(in, "", "", 1, false, saveConfig{}, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// A text edge list goes through the split parse + parallel-build path;
+// A text edge list goes through the split parse + build path;
 // the written output must match the dataset path's result.
 func TestRunFromEdgeListText(t *testing.T) {
 	g, err := bitcolor.Generate("EF", 3)
@@ -68,7 +68,7 @@ func TestRunFromEdgeListText(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(t.TempDir(), "dbg.bcsr")
-	if err := run(in, "", out, 1, false, 4, saveConfig{}, false); err != nil {
+	if err := run(in, "", out, 1, false, saveConfig{}, false); err != nil {
 		t.Fatal(err)
 	}
 	got, err := bitcolor.LoadGraph(out)
@@ -87,7 +87,7 @@ func TestRunFromEdgeListText(t *testing.T) {
 // loads back (via the sniffing loader) with the DBG invariant intact.
 func TestRunWritesV2Output(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "dbg.bcsr")
-	if err := run("", "EF", out, 1, false, 2, saveConfig{v2: true}, false); err != nil {
+	if err := run("", "EF", out, 1, false, saveConfig{v2: true}, false); err != nil {
 		t.Fatal(err)
 	}
 	if format, err := graph.SniffFormat(out); err != nil || format != graph.FormatBCSR2 {
@@ -117,7 +117,7 @@ func TestRunConvertV1ToV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := filepath.Join(dir, "out.bcsr")
-	if err := run(in, "", out, 1, false, 0, saveConfig{v2: true}, true); err != nil {
+	if err := run(in, "", out, 1, false, saveConfig{v2: true}, true); err != nil {
 		t.Fatal(err)
 	}
 	got, err := bitcolor.LoadGraph(out)
@@ -140,7 +140,7 @@ func TestRunConvertV1ToV2(t *testing.T) {
 		}
 	}
 	// -convert without -out must refuse rather than silently discard.
-	if err := run(in, "", "", 1, false, 0, saveConfig{v2: true}, true); err == nil {
+	if err := run(in, "", "", 1, false, saveConfig{v2: true}, true); err == nil {
 		t.Fatal("-convert without -out accepted")
 	}
 }
@@ -160,7 +160,7 @@ func TestRunConvertV1ToV3(t *testing.T) {
 	}
 	out := filepath.Join(dir, "out.bcsr")
 	cfg := saveConfig{v3: true, shards: 2, strategy: bitcolor.PartitionLabelProp}
-	if err := run(in, "", out, 1, false, 0, cfg, true); err != nil {
+	if err := run(in, "", out, 1, false, cfg, true); err != nil {
 		t.Fatal(err)
 	}
 	if format, err := graph.SniffFormat(out); err != nil || format != graph.FormatBCSR3 {
@@ -179,16 +179,16 @@ func TestRunConvertV1ToV3(t *testing.T) {
 			got.NumVertices(), got.NumEdges(), g.NumVertices(), g.NumEdges())
 	}
 	// The two -obin flags are mutually exclusive.
-	if err := run(in, "", out, 1, false, 0, saveConfig{v2: true, v3: true}, true); err == nil {
+	if err := run(in, "", out, 1, false, saveConfig{v2: true, v3: true}, true); err == nil {
 		t.Fatal("-obin-v2 with -obin-v3 accepted")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "", "", 1, false, 0, saveConfig{}, false); err == nil {
+	if err := run("", "", "", 1, false, saveConfig{}, false); err == nil {
 		t.Fatal("missing input accepted")
 	}
-	if err := run("/nope.txt", "", "", 1, false, 0, saveConfig{}, false); err == nil {
+	if err := run("/nope.txt", "", "", 1, false, saveConfig{}, false); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }

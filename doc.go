@@ -31,7 +31,7 @@
 // A minimal session:
 //
 //	g, _ := bitcolor.Generate("GD", 1)          // synthetic gemsec-Deezer stand-in
-//	g, _ = bitcolor.Preprocess(g)               // DBG reorder + edge sort
+//	g, _ = bitcolor.Preprocess(g)               // DBG reorder; lists come out sorted
 //	res, _ := bitcolor.Simulate(g, bitcolor.DefaultSimConfig(16))
 //	fmt.Println(res.NumColors, res.TotalCycles, res.MCVps)
 package bitcolor

@@ -38,7 +38,6 @@ func MultiCard(ctx *Context) (*MultiCardResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("building %s: %w", d.Abbrev, err)
 		}
-		prepared.SortEdges()
 		cfg := sim.DefaultConfig(4)
 		cfg.CacheVertices = ctx.CacheVerticesFor(d, prepared.NumVertices())
 		var base int64

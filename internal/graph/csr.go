@@ -11,7 +11,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 )
 
@@ -22,9 +21,9 @@ type VertexID = uint32
 // CSR is a graph in compressed sparse row format.
 //
 // Adjacency must not be rewritten in place once the graph is in use,
-// except through SortEdges or SortEdgesParallel: engines assume an
-// immutable graph during a run, and EdgesSorted memoizes its answer on
-// the graph. Code that reorders lists some other way calls ResetSorted.
+// except through SortEdges: engines assume an immutable graph during a
+// run, and EdgesSorted memoizes its answer on the graph. Code that
+// reorders lists some other way calls ResetSorted.
 type CSR struct {
 	// Offsets has length NumVertices+1; Offsets[v] is the index in Edges
 	// of the first neighbor of v (the paper's s_e; d_e is Offsets[v+1]).
@@ -42,6 +41,12 @@ type CSR struct {
 	// a sort or a sorting builder records the answer. Atomic, so two
 	// goroutines may use a fresh graph at once.
 	sorted atomic.Uint32
+	// symmetric records that every list holds v exactly as often as v's
+	// list holds the list's owner; false means unknown. FromEdgeList and
+	// a relabel of a recorded graph set it, and Relabel reads it. Only
+	// the entries' order may change after first use, so the record never
+	// goes stale.
+	symmetric atomic.Bool
 }
 
 // Values of CSR.sorted.
@@ -119,23 +124,15 @@ func (g *CSR) MaxDegree() int {
 }
 
 // HasEdge reports whether u has v in its adjacency list. It uses binary
-// search when u's edges are sorted and falls back to a linear scan
-// otherwise.
+// search when the graph's edges are sorted (EdgesSorted, so the memo
+// answers after the first call) and a linear scan otherwise.
 func (g *CSR) HasEdge(u, v VertexID) bool {
 	adj := g.Neighbors(u)
-	if len(adj) == 0 {
-		return false
+	if g.EdgesSorted() {
+		_, found := slices.BinarySearch(adj, v)
+		return found
 	}
-	if sort.SliceIsSorted(adj, func(i, j int) bool { return adj[i] < adj[j] }) {
-		i := sort.Search(len(adj), func(i int) bool { return adj[i] >= v })
-		return i < len(adj) && adj[i] == v
-	}
-	for _, w := range adj {
-		if w == v {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(adj, v)
 }
 
 // Validate checks structural invariants: monotone offsets covering Edges
@@ -361,7 +358,80 @@ func FromEdgeList(n int, edges []Edge) (*CSR, error) {
 	g := &CSR{Offsets: offsets, Edges: adj}
 	g.dedupSorted()
 	g.MarkSorted()
+	g.symmetric.Store(true)
 	return g, nil
+}
+
+// Relabel returns g with every vertex renamed: old becomes newID[old],
+// and oldID is the inverse renaming. Each list of the result is
+// ascending and keeps its entries' multiplicity, so the result equals
+// renaming every list and sorting it. g is only read.
+//
+// The relabel is a counting scatter and no comparison sort. Walking the
+// new IDs x in ascending order, it appends x to the list of each
+// neighbor's new ID, so every list is written in order. That writes the
+// transpose of the relabeled graph, which is the relabeled graph itself
+// when g is symmetric. A graph recorded as symmetric (FromEdgeList's
+// output, or a relabel of it) takes the one scatter and allocates only
+// the result. Any other graph is transposed first by the same scatter
+// without the renaming, since the transpose of the transpose is g.
+// Either way the work is O(V + E).
+func Relabel(g *CSR, newID, oldID []VertexID) *CSR {
+	n := g.NumVertices()
+	symmetric := g.symmetric.Load()
+	src := g
+	if !symmetric {
+		src = transpose(g)
+	}
+	// List x holds the renamed list of oldID[x], so it takes that
+	// vertex's degree, which is also its in-degree in src.
+	offsets := make([]int64, n+1)
+	for x, old := range oldID {
+		offsets[x+1] = offsets[x] + g.Offsets[old+1] - g.Offsets[old]
+	}
+	edges := make([]VertexID, len(g.Edges))
+	for x, old := range oldID {
+		for _, w := range src.Neighbors(old) {
+			y := newID[w]
+			edges[offsets[y]] = VertexID(x)
+			offsets[y]++
+		}
+	}
+	shiftBack(offsets)
+	out := &CSR{Offsets: offsets, Edges: edges}
+	out.MarkSorted()
+	out.symmetric.Store(symmetric)
+	return out
+}
+
+// transpose returns g with every stored edge reversed, each list
+// ascending: Relabel's scatter under the identity renaming, with the
+// lists sized by in-degree.
+func transpose(g *CSR) *CSR {
+	n := g.NumVertices()
+	offsets := make([]int64, n+1)
+	for _, w := range g.Edges {
+		offsets[w+1]++
+	}
+	for v := range n {
+		offsets[v+1] += offsets[v]
+	}
+	edges := make([]VertexID, len(g.Edges))
+	for v := range n {
+		for _, w := range g.Neighbors(VertexID(v)) {
+			edges[offsets[w]] = VertexID(v)
+			offsets[w]++
+		}
+	}
+	shiftBack(offsets)
+	return &CSR{Offsets: offsets, Edges: edges}
+}
+
+// shiftBack restores list starts in offsets after a scatter used them
+// as write cursors and left each at the next list's start.
+func shiftBack(offsets []int64) {
+	copy(offsets[1:], offsets)
+	offsets[0] = 0
 }
 
 // FromDirectedEdgeList builds a CSR storing each edge exactly as given

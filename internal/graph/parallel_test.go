@@ -108,23 +108,3 @@ func TestFromEdgeListParallelErrors(t *testing.T) {
 		t.Fatalf("out-of-range edge: reference %v, got %v", wantErr, gotErr)
 	}
 }
-
-func TestSortEdgesParallelEquivalence(t *testing.T) {
-	g, err := FromEdgeList(3000, randomEdges(3000, 40000, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shuffled := g.Clone()
-	// Reverse each adjacency list to unsort it deterministically.
-	for v := 0; v < shuffled.NumVertices(); v++ {
-		adj := shuffled.Neighbors(VertexID(v))
-		for i, j := 0, len(adj)-1; i < j; i, j = i+1, j-1 {
-			adj[i], adj[j] = adj[j], adj[i]
-		}
-	}
-	if shuffled.EdgesSorted() {
-		t.Fatal("reverse failed to unsort")
-	}
-	shuffled.SortEdgesParallel(6)
-	graphsEqual(t, g, shuffled, "parallel sort")
-}

@@ -236,11 +236,6 @@ func TestEdgesSortedMemo(t *testing.T) {
 	if g.SortednessKnown() || g.EdgesSorted() {
 		t.Fatal("ResetSorted: want unknown, then a scan finding the reversal")
 	}
-	big := reversed(mustFromEdgeList(t, 3000, randomEdges(3000, 20000, 4)))
-	big.SortEdgesParallel(4)
-	if !big.SortednessKnown() || !big.EdgesSorted() {
-		t.Fatal("SortEdgesParallel did not record sorted")
-	}
 }
 
 // TestSortednessRecordedOnLoad: builders that sort and every loader

@@ -1,6 +1,7 @@
 // Package reorder implements BitColor's preprocessing: degree-based
-// grouping (DBG) reordering (paper §3.2.2, after Faldu et al.), per-vertex
-// ascending edge sorting for DRAM read merging, and permutation utilities.
+// grouping (DBG) reordering (paper §3.2.2, after Faldu et al.), which
+// also leaves every adjacency list ascending for DRAM read merging, and
+// permutation utilities.
 //
 // DBG renames vertices in descending order of degree so that a smaller
 // vertex index implies a higher degree. Two BitColor mechanisms rely on
@@ -102,29 +103,13 @@ func DegreeDescending(g *graph.CSR) *Permutation {
 	return p
 }
 
-// Apply returns a new graph with vertices renamed through p. Adjacency
-// lists of the result are sorted ascending (the paper performs edge
-// sorting as part of preprocessing anyway).
+// Apply returns a new graph with vertices renamed through p, which must
+// be a valid permutation in both directions. Adjacency lists of the
+// result are sorted ascending (the paper performs edge sorting as part
+// of preprocessing anyway), by graph.Relabel's counting scatter rather
+// than a sort.
 func Apply(g *graph.CSR, p *Permutation) *graph.CSR {
-	n := g.NumVertices()
-	offsets := make([]int64, n+1)
-	for old := 0; old < n; old++ {
-		offsets[p.NewID[old]+1] = int64(g.Degree(graph.VertexID(old)))
-	}
-	for v := 0; v < n; v++ {
-		offsets[v+1] += offsets[v]
-	}
-	edges := make([]graph.VertexID, g.NumEdges())
-	for old := 0; old < n; old++ {
-		nw := p.NewID[old]
-		dst := edges[offsets[nw]:]
-		for i, d := range g.Neighbors(graph.VertexID(old)) {
-			dst[i] = p.NewID[d]
-		}
-	}
-	out := &graph.CSR{Offsets: offsets, Edges: edges}
-	out.SortEdges()
-	return out
+	return graph.Relabel(g, p.NewID, p.OldID)
 }
 
 // DBG runs the full degree-based-grouping preprocessing: compute the
@@ -150,7 +135,8 @@ func IsDegreeDescending(g *graph.CSR) bool {
 
 // ShuffleEdges randomizes the order within each adjacency list using a
 // deterministic LCG; used by experiments to measure the cost of *not*
-// sorting edges (Table 4, Fig 11 MGR ablation).
+// sorting edges (Table 4, Fig 11 MGR ablation). It resets the graph's
+// sortedness memo; its symmetry record stands, since only order changes.
 func ShuffleEdges(g *graph.CSR, seed int64) {
 	state := uint64(seed)*6364136223846793005 + 1442695040888963407
 	next := func(bound int) int {
@@ -165,14 +151,4 @@ func ShuffleEdges(g *graph.CSR, seed int64) {
 		}
 	}
 	g.ResetSorted()
-}
-
-// TranslateColors maps a color assignment on the reordered graph back to
-// original vertex IDs: result[old] = colors[NewID[old]].
-func TranslateColors(colors []uint16, p *Permutation) []uint16 {
-	out := make([]uint16, len(colors))
-	for old := range out {
-		out[old] = colors[p.NewID[old]]
-	}
-	return out
 }

@@ -125,21 +125,6 @@ func TestShuffleEdgesPreservesSetAndBreaksOrder(t *testing.T) {
 	}
 }
 
-func TestTranslateColors(t *testing.T) {
-	g := randomGraph(t, 20, 60, 6)
-	_, p := DBG(g)
-	colors := make([]uint16, 20)
-	for i := range colors {
-		colors[i] = uint16(i + 1)
-	}
-	back := TranslateColors(colors, p)
-	for old := 0; old < 20; old++ {
-		if back[old] != colors[p.NewID[old]] {
-			t.Fatal("translation wrong")
-		}
-	}
-}
-
 func TestValidateCatchesBadPermutation(t *testing.T) {
 	p := Identity(3)
 	p.NewID[0] = 1 // duplicate with NewID[1]

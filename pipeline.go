@@ -23,12 +23,10 @@ import (
 // the stage spans as "graph/load" with its own metric families.
 type Pipeline struct {
 	// SkipPreprocess runs the coloring on g as-is. By default the
-	// pipeline applies DBG reordering + edge sorting first (what the
-	// engines are tuned for) and maps the colors back afterwards.
+	// pipeline applies DBG reordering first, which also sorts every
+	// adjacency list (what the engines are tuned for), and maps the
+	// colors back afterwards.
 	SkipPreprocess bool
-	// PreprocessWorkers bounds the preprocessing parallelism
-	// (<=0: GOMAXPROCS).
-	PreprocessWorkers int
 	// Color selects and configures the engine (registry dispatch).
 	Color ColorOptions
 	// Improve optionally post-processes the coloring; the zero value
@@ -118,7 +116,7 @@ func (p Pipeline) Run(ctx context.Context, g *Graph) (*PipelineResult, error) {
 		}
 		sp := root.Child("preprocess")
 		start := time.Now()
-		prepared, newID, err := PreprocessWithPermutation(g, WithPreprocessParallelism(p.PreprocessWorkers))
+		prepared, newID, err := PreprocessWithPermutation(g)
 		stage("preprocess", start, sp, err)
 		if err != nil {
 			return pr, fmt.Errorf("bitcolor: pipeline preprocess: %w", err)
