@@ -547,8 +547,10 @@ type ColorOptions struct {
 	PartitionStrategy string
 	// OutOfCore streams an EngineSharded run from the handle's BCSR v3
 	// file instead of a materialized CSR — only ColorHandle honors it,
-	// and only on a v3-backed handle. Implied by an
-	// OpenGraphFileOutOfCore handle.
+	// and only on a v3-backed handle whose partition is index-ordered
+	// ranges (any other fails before a shard is mapped; OpenGraphFile
+	// colors such a file in core). Implied by an OpenGraphFileOutOfCore
+	// handle.
 	OutOfCore bool
 	// MaxResidentShards bounds how many shard payloads an out-of-core
 	// run keeps mapped at once (<=0: one — strictest residency; clamped
@@ -692,9 +694,10 @@ func ColorHandle(h *GraphHandle, opts ColorOptions) (*Result, RunStats, error) {
 // content-hash partition cache — partitioning time drops to zero and
 // bitcolor_partition_cache_hits_total counts the hit), and with
 // OutOfCore set (or a handle opened via OpenGraphFileOutOfCore) it
-// streams the run under the bounded-residency executor, verifying the
-// result shard by shard without ever materializing the CSR. Handles of
-// every other format run exactly as ColorContext.
+// streams a range-partitioned file's shards in index order under the
+// bounded-residency executor, verifying the result shard by shard
+// without ever materializing the CSR. Handles of every other format run
+// exactly as ColorContext.
 func ColorHandleContext(ctx context.Context, h *GraphHandle, opts ColorOptions) (*Result, RunStats, error) {
 	info, ok := coloring.LookupIndex(int(opts.Engine))
 	if !ok {
@@ -715,12 +718,10 @@ func ColorHandleContext(ctx context.Context, h *GraphHandle, opts ColorOptions) 
 		eopts := opts.engineOptions()
 		eopts.OutOfCore = true
 		eopts.ShardFile = h.sf
-		// The engine reads adjacency exclusively through the shard file;
-		// the offsets-only skeleton exists for the registry's admission
-		// and instrumentation decorators, which size by vertex count.
-		skel := &graph.CSR{Offsets: make([]int64, h.sf.NumVertices()+1)}
+		// The engine reads adjacency exclusively through the shard file,
+		// and the registry sizes the run by its counts: no graph.
 		before := h.sf.Stats()
-		res, st, err := info.Run(ctx, skel, eopts)
+		res, st, err := info.Run(ctx, nil, eopts)
 		after := h.sf.Stats()
 		o.RecordShardMap(after.Maps-before.Maps, after.Unmaps-before.Unmaps, after.PeakResidentBytes)
 		if err != nil {

@@ -50,9 +50,9 @@ type benchBaseline struct {
 	ExecRatio float64 `json:"exec_dispatch_ratio"`
 	// OutOfCoreRatio is streamed sharded coloring (BCSR v3 handle,
 	// shards=4, residency 2, one worker, cached partition) / in-core
-	// sharded (same shape, partition rebuilt per run) on GD — what the
-	// bounded residency window plus shard mapping costs over keeping the
-	// whole graph resident.
+	// sharded (same shape, partition rebuilt per run) on GD — the ordered
+	// stream's shard maps against the in-core partition bookkeeping and
+	// frontier phase.
 	OutOfCoreRatio float64 `json:"outofcore_stream_vs_sharded_ratio"`
 }
 

@@ -100,8 +100,8 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "goroutines for the host-parallel engines (jonesplassmann, speculative, parallelbitwise, dct, sharded; 0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.shards, "shards", 0, "partition count for the sharded engine (0/1 = single shard, plain DCT)")
 	flag.StringVar(&cfg.partition, "partition", "", "partition strategy for the sharded engine: ranges (default) | labelprop")
-	flag.BoolVar(&cfg.outOfCore, "outofcore", false, "stream a BCSR v3 -input shard by shard instead of materializing it (sharded engine only)")
-	flag.IntVar(&cfg.resident, "resident", 0, "out-of-core resident-shard bound (0 = min(workers, shards))")
+	flag.BoolVar(&cfg.outOfCore, "outofcore", false, "stream a range-partitioned BCSR v3 -input shard by shard in index order instead of materializing it (sharded engine only; a labelprop file colors in core without this flag)")
+	flag.IntVar(&cfg.resident, "resident", 0, "out-of-core resident-shard bound (0 = one shard at a time; clamped to the shard count)")
 	flag.IntVar(&cfg.cacheSize, "cache", 0, "HVC capacity in vertices (0 = auto-scale to ~1/8 of the graph; paper hardware: 512K)")
 	flag.IntVar(&cfg.maxColors, "maxcolors", bitcolor.MaxColorsDefault, "palette size")
 	flag.Int64Var(&cfg.seed, "seed", 1, "seed for generators and randomized engines")
@@ -265,11 +265,12 @@ func run(ctx context.Context, cfg runConfig) error {
 	return writeColors(cfg.colorsOut, pr.Result.Colors)
 }
 
-// runOutOfCore colors a shard-major BCSR v3 file with the streaming
-// executor: shards are mapped and released one residency window at a
-// time, so the whole adjacency never sits in memory at once. The graph
-// is colored exactly as the preprocessed file laid it out — there is no
-// in-memory preprocessing stage to skip or apply.
+// runOutOfCore colors a range-partitioned BCSR v3 file with the
+// streaming executor: shards are mapped in index order and released one
+// residency window at a time, so the whole adjacency never sits in
+// memory at once. The graph is colored exactly as the preprocessed file
+// laid it out — there is no in-memory preprocessing stage to skip or
+// apply.
 func runOutOfCore(ctx context.Context, cfg runConfig) error {
 	if cfg.input == "" {
 		return fmt.Errorf("-outofcore needs -input FILE (a BCSR v3 file from `preprocess -obin-v3`)")
@@ -308,8 +309,8 @@ func runOutOfCore(ctx context.Context, cfg runConfig) error {
 	}
 	fmt.Printf("engine: %v (%d workers, out-of-core)\n", eng, st.Workers)
 	fmt.Printf("colors used: %d\n", res.NumColors)
-	fmt.Printf("shards: %d, cut edges: %d, boundary vertices: %d, frontier: %d, cross-shard defers: %d\n",
-		st.Shards, st.CutEdges, st.BoundaryVertices, st.FrontierVertices, st.CrossShardDefers)
+	fmt.Printf("shards: %d, cut edges: %d, boundary vertices: %d\n",
+		st.Shards, st.CutEdges, st.BoundaryVertices)
 	fmt.Printf("residency: %d shards mapped at once, peak mapped %.2f MiB\n",
 		st.ResidentShards, float64(st.PeakMappedBytes)/(1<<20))
 	fmt.Printf("wall time: %v\n", time.Since(start).Round(time.Microsecond))

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bitcolor"
@@ -12,6 +14,35 @@ import (
 func TestRunDatasetWithTiming(t *testing.T) {
 	if err := run("", "EF", "", 1, true, saveConfig{}, false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunTimeBaselineIsGreedyLiteral pins the -time baseline to the
+// paper's Algorithm 1, coloring.GreedyLiteral — the baseline
+// benchsuite -exp table2 divides by — named on both stat lines.
+func TestRunTimeBaselineIsGreedyLiteral(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := run("", "EF", "", 1, true, saveConfig{}, false)
+	os.Stdout = stdout
+	w.Close()
+	text := <-out
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	for _, want := range []string{"GreedyLiteral (paper Algorithm 1) coloring:", "reorder/GreedyLiteral ratio:"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("-time output lacks %q:\n%s", want, text)
+		}
 	}
 }
 

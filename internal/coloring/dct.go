@@ -153,43 +153,6 @@ func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *
 		st.HotThreshold = ws[0].ga.vt
 	}
 
-	// attempt colors v if every lower-indexed neighbor has published,
-	// one acquire load per neighbor. Higher-indexed neighbors are never
-	// read: under the DCT discipline they defer on v. On a sorted
-	// adjacency list they form the tail and the scan breaks (the PUV
-	// break of §3.2.2). Returns the first pending neighbor on deferral.
-	// The gather counts are tallied once per colored vertex, never per
-	// read, so a replayed attempt adds nothing to them.
-	attempt := func(s *workerScratch, v graph.VertexID) (graph.VertexID, exec.Outcome) {
-		s.state.Reset()
-		adj := g.Neighbors(v)
-		k := len(adj)
-		for i, u := range adj {
-			if u > v {
-				if sorted {
-					k = i
-					break
-				}
-				continue
-			}
-			c := atomic.LoadUint32(&shared[u])
-			if c == 0 {
-				return u, exec.Deferred
-			}
-			s.state.OrColorNum(c)
-		}
-		pick, _ := s.codec.FirstFree(s.state)
-		if pick == 0 {
-			return 0, exec.Failed
-		}
-		atomic.StoreUint32(&shared[v], uint32(pick))
-		s.sh.Inc(obs.CtrVertices)
-		if useGather {
-			s.ga.tally(v, adj, k, sorted)
-		}
-		return 0, exec.Colored
-	}
-
 	// The forwarding-latency instrumentation is wired only when an
 	// observer is live; with clock == nil the loop never reads the clock
 	// and park timestamps stay zero.
@@ -213,7 +176,7 @@ func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *
 			Ring:  s.ring,
 			Shard: s.sh,
 			Attempt: func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
-				return attempt(s, v)
+				return dctAttempt(s, shared, v, g.Neighbors(v), sorted, useGather)
 			},
 			Published: func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != 0 },
 			FailErr:   ErrPaletteExhausted,
@@ -241,6 +204,44 @@ func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *
 		colors[i] = uint16(c)
 	}
 	return sc.result(colors, sc.distinctColors(colors), OpStats{}), st, nil
+}
+
+// dctAttempt is DCT's attempt kernel, shared by dctRun and the ordered
+// out-of-core stream, which differ only in where v's adjacency comes
+// from. It colors v if every lower-indexed neighbor has published, one
+// acquire load per neighbor. Higher-indexed neighbors are never read:
+// under the DCT discipline they defer on v. On a sorted adjacency list
+// they form the tail and the scan breaks (the PUV break of §3.2.2).
+// Returns the first pending neighbor on deferral. With tally set, the
+// gather counts are added once per colored vertex, never per read, so a
+// replayed attempt adds nothing to them.
+func dctAttempt(s *workerScratch, shared []uint32, v graph.VertexID, adj []graph.VertexID, sorted, tally bool) (graph.VertexID, exec.Outcome) {
+	s.state.Reset()
+	k := len(adj)
+	for i, u := range adj {
+		if u > v {
+			if sorted {
+				k = i
+				break
+			}
+			continue
+		}
+		c := atomic.LoadUint32(&shared[u])
+		if c == 0 {
+			return u, exec.Deferred
+		}
+		s.state.OrColorNum(c)
+	}
+	pick, _ := s.codec.FirstFree(s.state)
+	if pick == 0 {
+		return 0, exec.Failed
+	}
+	atomic.StoreUint32(&shared[v], uint32(pick))
+	s.sh.Inc(obs.CtrVertices)
+	if tally {
+		s.ga.tally(v, adj, k, sorted)
+	}
+	return 0, exec.Colored
 }
 
 // dctSequential is the one-worker fast path of DCTOpts: the same owned

@@ -76,9 +76,9 @@ type Options struct {
 	// count).
 	MaxResidentShards int
 	// ShardFile is the open BCSR v3 handle an out-of-core run streams
-	// from. The graph argument of such a run is a skeleton (offsets
-	// only) used for admission accounting; all payload reads go through
-	// the handle.
+	// from. The graph argument of such a run is ignored and may be nil:
+	// the registry sizes and records the run by the handle's vertex and
+	// edge counts, and all payload reads go through the handle.
 	ShardFile *graph.ShardedFile
 	// Obs is the optional run-scoped observability sink. The registry's
 	// instrumentation decorator fills it (from the caller or the
@@ -107,6 +107,9 @@ type Options struct {
 	// nil checks.
 	Run *obs.RunRecord
 }
+
+// streamed reports whether the run streams out of core from ShardFile.
+func (o Options) streamed() bool { return o.OutOfCore && o.ShardFile != nil }
 
 // maxColors resolves the palette bound, applying the default.
 func (o Options) maxColors() int {

@@ -112,7 +112,8 @@ func admitted(info EngineInfo, run EngineFunc) EngineFunc {
 			return run(ctx, g, opts)
 		}
 		opts.Obs = o // instrument reuses the resolution
-		rec := obs.Runs().Begin(ctx, o, info.Name, int64(g.NumVertices()), g.NumEdges())
+		n, e := runSize(g, opts)
+		rec := obs.Runs().Begin(ctx, o, info.Name, int64(n), e)
 		opts.Run = rec
 		if p == nil {
 			res, st, err := run(ctx, g, opts)
@@ -124,7 +125,7 @@ func admitted(info EngineInfo, run EngineFunc) EngineFunc {
 		case info.Demand != nil:
 			want = info.Demand(g, opts)
 		case info.Parallel:
-			want = resolveWorkers(opts.Workers, g.NumVertices())
+			want = resolveWorkers(opts.Workers, n)
 		}
 		rec.Queued(want)
 		var queuedAt time.Time
@@ -176,9 +177,10 @@ func instrument(name string, run EngineFunc) EngineFunc {
 			return run(ctx, g, opts)
 		}
 		opts.Obs = o
+		n, e := runSize(g, opts)
 		sp := o.StartSpan("engine/"+name).
-			Attr("vertices", int64(g.NumVertices())).
-			Attr("edges", g.NumEdges())
+			Attr("vertices", int64(n)).
+			Attr("edges", e)
 		opts.Span = sp
 		start := time.Now()
 		res, st, err := run(ctx, g, opts)
@@ -199,6 +201,16 @@ func instrument(name string, run EngineFunc) EngineFunc {
 		o.RecordRun(name, colors, d, st, err)
 		return res, st, err
 	}
+}
+
+// runSize is the vertex and adjacency-entry count a run is sized and
+// recorded by: the shard file's for an out-of-core run, whose graph
+// argument is ignored and may be nil, and the graph's otherwise.
+func runSize(g *graph.CSR, opts Options) (int, int64) {
+	if opts.streamed() {
+		return opts.ShardFile.NumVertices(), opts.ShardFile.NumEdges()
+	}
+	return g.NumVertices(), g.NumEdges()
 }
 
 // Lookup resolves an engine by name.
@@ -365,7 +377,7 @@ func init() {
 		Name:        "sharded",
 		Parallel:    true,
 		Stats:       "workers, shards, boundary, deferred, work split, gather",
-		Description: "partitioned multi-card DCT: per-shard interior coloring plus one boundary-frontier phase — deterministic, identical to greedy at any shard and worker count",
+		Description: "partitioned multi-card DCT: per-shard interior coloring plus one boundary-frontier phase in core, one ordered pass over range shards out of core — deterministic, identical to greedy at any shard and worker count",
 		Run: func(ctx context.Context, g *graph.CSR, opts Options) (*Result, metrics.RunStats, error) {
 			return ShardedOpts(ctx, g, opts.maxColors(), opts)
 		},
@@ -374,8 +386,8 @@ func init() {
 		// per-shard worker count (never the shard count — partitioning
 		// is part of the result's identity).
 		Demand: func(g *graph.CSR, opts Options) int {
-			n := g.NumVertices()
-			if opts.OutOfCore && opts.ShardFile != nil {
+			n, _ := runSize(g, opts)
+			if opts.streamed() {
 				// A streamed run never has more than its residency bound
 				// of shards active, so that — not the shard count — is
 				// the concurrency it asks the pool for.
@@ -391,7 +403,7 @@ func init() {
 			return resolveWorkers(opts.Workers, n) * shards
 		},
 		Grant: func(opts Options, granted int) Options {
-			if opts.OutOfCore && opts.ShardFile != nil {
+			if opts.streamed() {
 				opts.Workers = max(1, granted/streamResidency(opts))
 				return opts
 			}

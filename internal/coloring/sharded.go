@@ -97,13 +97,15 @@ func shardedPartition(g *graph.CSR, shards int, strategy string, sc *Scratch) (*
 // ShardedOpts runs the sharded engine: opts.Shards parts (<=1 degenerates
 // to the plain DCT path, so the sharding layer costs the single-shard
 // case nothing), opts.Workers goroutines per shard in the interior phase
-// and the same worker count over the frontier. Cancellation, palette
-// exhaustion and scratch reuse follow the DCT engine's contract.
+// and the same worker count over the frontier. With OutOfCore and a
+// ShardFile it streams the file's range shards instead (shardedStream)
+// and ignores g, which may be nil. Cancellation, palette exhaustion and
+// scratch reuse follow the DCT engine's contract.
 func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*Result, metrics.ParallelStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, metrics.ParallelStats{}, err
 	}
-	if opts.OutOfCore && opts.ShardFile != nil {
+	if opts.streamed() {
 		return shardedStream(ctx, maxColors, opts)
 	}
 	n := g.NumVertices()
@@ -124,8 +126,15 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		// run, and running it through dctRun keeps the single-shard path
 		// exactly as fast (and, at one worker, exactly as allocation-free)
 		// as EngineDCT — the benchguard pins this.
+		start := time.Now()
 		res, st, err := dctRun(ctx, g, maxColors, opts, sc, workers)
 		st.Shards = 1
+		verts, durs := sc.perWorkerBuf(2, 1), sc.durBuf(1, 1)
+		if verts == nil {
+			verts, durs = make([]int64, 1), make([]time.Duration, 1)
+		}
+		verts[0], durs[0] = st.TotalVertices(), time.Since(start)
+		st.ShardVertices, st.ShardDurations = verts, durs
 		return res, st, err
 	}
 
@@ -306,27 +315,8 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 	}
 
 	// Interior vertex counts are folded per shard before the frontier
-	// phase reuses the low counter shards. Both exports draw on the
-	// pooled arena when a Scratch backs the run (they alias it — see the
-	// Scratch doc), so colord-style repeated runs stop churning them.
-	st.ShardVertices = sc.perWorkerBuf(2, shards)
-	if st.ShardVertices == nil {
-		st.ShardVertices = make([]int64, shards)
-	} else {
-		clear(st.ShardVertices)
-	}
-	st.ShardDurations = sc.durBuf(1, shards)
-	if st.ShardDurations == nil {
-		st.ShardDurations = make([]time.Duration, shards)
-	}
-	for shard := 0; shard < shards; shard++ {
-		for w := 0; w < workers; w++ {
-			st.ShardVertices[shard] += ss.Shard(shard*workers + w).Get(obs.CtrVertices)
-			if d := flatDur[shard*workers+w]; d > st.ShardDurations[shard] {
-				st.ShardDurations[shard] = d
-			}
-		}
-	}
+	// phase reuses the low counter shards.
+	st.ShardVertices, st.ShardDurations = foldShards(sc, ss, flatDur, shards, workers)
 
 	for _, s := range ws {
 		if s.err != nil {
@@ -426,4 +416,31 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		colors[i] = uint16(c)
 	}
 	return sc.result(colors, sc.distinctColors(colors), OpStats{}), st, nil
+}
+
+// foldShards folds the flat (shard, worker) lanes into the per-shard
+// RunStats exports: ShardVertices[s] sums the lanes' colored vertices
+// and ShardDurations[s] is the slowest lane's time. Both draw on the
+// pooled arena when a Scratch backs the run (they alias it — see the
+// Scratch doc), so repeated runs stop churning them.
+func foldShards(sc *Scratch, ss *obs.ShardSet, flatDur []time.Duration, shards, workers int) ([]int64, []time.Duration) {
+	verts := sc.perWorkerBuf(2, shards)
+	if verts == nil {
+		verts = make([]int64, shards)
+	} else {
+		clear(verts)
+	}
+	durs := sc.durBuf(1, shards)
+	if durs == nil {
+		durs = make([]time.Duration, shards)
+	}
+	for shard := 0; shard < shards; shard++ {
+		for w := 0; w < workers; w++ {
+			verts[shard] += ss.Shard(shard*workers + w).Get(obs.CtrVertices)
+			if d := flatDur[shard*workers+w]; d > durs[shard] {
+				durs[shard] = d
+			}
+		}
+	}
+	return verts, durs
 }

@@ -2,7 +2,9 @@ package coloring
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -12,19 +14,27 @@ import (
 	"bitcolor/internal/obs"
 )
 
-// The out-of-core executor is ShardedOpts with the whole-graph CSR
-// replaced by a BCSR v3 handle: the partition, boundary totals and
-// per-shard sections come from the file, and at most MaxResidentShards
-// shard payloads are mapped at any moment. The only whole-graph arrays
-// a streamed run holds are the parts vector (resident in the handle
-// since open), the shared color array, and the pooled frontier/colors
-// buffers — all O(V); the O(E) adjacency streams through the residency
-// window. The coloring fixpoint is the same as the in-core engine's
-// (phase one colors a vertex only when every lower-indexed neighbor has
-// its final color, marks the structural frontier, and phase two
-// resolves the frontier under lower-index-wins), so the result is
-// byte-identical to the in-core sharded engine — and to sequential
-// greedy — at every (shards × residency × workers) combination.
+// The out-of-core executor is DCT over a window of consecutive range
+// shards read from a BCSR v3 handle. With range shards every
+// lower-indexed neighbor of a vertex in shard s lies in a shard ≤ s, so
+// streaming the shards in index order under DCT's lower-index-wins rule
+// colors every vertex in one pass: each shard is mapped once, its ID
+// range is colored by DCT's owner-computes loop reading adjacency from
+// the mapping, and a wait on a vertex of an earlier shard that is still
+// in the window parks on the forwarding ring like any other DCT wait.
+// There is no frontier phase, and the boundary blocks the v3 writer
+// persists are never mapped. The only whole-graph arrays a streamed run
+// holds are the parts vector (resident in the handle since open), the
+// shared color array and the colors buffer — all O(V); the O(E)
+// adjacency streams through the residency window. The result is
+// sequential greedy's coloring at every (shards × residency × workers)
+// combination, byte-identical to the in-core sharded engine.
+
+// ErrUnorderedShards is returned, before any shard is mapped, by an
+// out-of-core run on a v3 file whose partition is not index-ordered
+// ranges (a labelprop file): only range shards stream in one ordered
+// pass. Such a file still colors in core.
+var ErrUnorderedShards = errors.New("coloring: out-of-core streaming needs range shards in vertex-index order; open this v3 file with OpenGraphFile to color it in core")
 
 // streamResidency resolves the bounded-residency limit: <=0 means one
 // shard at a time, and the limit never exceeds the file's shard count.
@@ -42,23 +52,27 @@ func streamResidency(opts Options) int {
 }
 
 // shardedStream runs the sharded engine out of core against
-// opts.ShardFile. Phase one pulls shards through a window of
-// streamResidency concurrent mappings (each colored by opts.Workers
-// goroutines over the shard's own vertex list, exactly the in-core
-// owner-computes schedule); retired shards are MADV_DONTNEED'd and
-// unmapped before the next one maps. Phase two maps only the boundary
-// blocks — the frontier vertices' u<v adjacency — so the frontier
-// resolution is bounded by the cut, not the graph.
+// opts.ShardFile. streamResidency runner goroutines claim shards from
+// one cursor, so shards are claimed in index order; each runner maps
+// its shard, colors the shard's ID range [lo, hi) with opts.Workers
+// goroutines under DCT's pattern-p schedule (worker w owns lo+w,
+// lo+w+P, …), and unmaps it before claiming the next. The runner count
+// bounds concurrent mappings — the residency invariant — and in-order
+// claiming keeps every wait finite: the lowest unfinished shard is
+// always mapped, and its lowest unfinished vertex can always finish.
 func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, metrics.ParallelStats, error) {
 	sf := opts.ShardFile
 	n := sf.NumVertices()
-	workers := resolveWorkers(opts.Workers, n)
-	shards := sf.Shards()
-	resident := streamResidency(opts)
 	parts := sf.Parts()
 	if len(parts) != n {
 		return nil, metrics.ParallelStats{}, fmt.Errorf("coloring: v3 partition covers %d of %d vertices", len(parts), n)
 	}
+	if !slices.IsSorted(parts) {
+		return nil, metrics.ParallelStats{}, ErrUnorderedShards
+	}
+	workers := resolveWorkers(opts.Workers, n)
+	shards := sf.Shards()
+	resident := streamResidency(opts)
 	sc := opts.Scratch
 	if !sc.fits("sharded", workers) {
 		sc = nil
@@ -109,62 +123,6 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 		}
 	}
 
-	// attemptInterior is the in-core interior attempt reading adjacency
-	// through the shard mapping instead of the CSR (and without the
-	// blocked gather, which is a read-caching layer, not a semantic one).
-	// The scan still never stops early at a pending or marked neighbor —
-	// a later cross-shard neighbor must win, or CrossShardDefers would
-	// depend on timing.
-	attemptInterior := func(s *workerScratch, sm *graph.ShardMap, pv int32, v graph.VertexID) (graph.VertexID, exec.Outcome) {
-		s.state.Reset()
-		li, _ := sm.LocalIndex(v) // v comes from sm.VMap, so it resolves
-		adj := sm.Neighbors(li)
-		var firstPending graph.VertexID
-		pending, cascade := false, false
-		for _, u := range adj {
-			if u > v {
-				if !sorted {
-					continue
-				}
-				break
-			}
-			if parts[u] != pv {
-				atomic.StoreUint32(&shared[v], shardMark)
-				s.sh.Inc(obs.CtrCrossDefers)
-				return 0, exec.Handed
-			}
-			switch c := atomic.LoadUint32(&shared[u]); c {
-			case shardMark:
-				cascade = true
-			case 0:
-				if !pending {
-					firstPending, pending = u, true
-				}
-			default:
-				s.state.OrColorNum(c)
-			}
-		}
-		if cascade {
-			atomic.StoreUint32(&shared[v], shardMark)
-			return 0, exec.Handed
-		}
-		if pending {
-			return firstPending, exec.Deferred
-		}
-		pick, _ := s.codec.FirstFree(s.state)
-		if pick == 0 {
-			return 0, exec.Failed
-		}
-		atomic.StoreUint32(&shared[v], uint32(pick))
-		s.sh.Inc(obs.CtrVertices)
-		return 0, exec.Colored
-	}
-
-	// Interior phase: `resident` runner goroutines pull shard indices
-	// from a shared cursor; each maps its shard, colors it with the full
-	// worker complement, and retires the mapping before claiming the
-	// next. The runner count — not the shard count — bounds concurrent
-	// mappings, which is the whole residency invariant.
 	flatDur := sc.durBuf(0, flat)
 	if flatDur == nil {
 		flatDur = make([]time.Duration, flat)
@@ -172,25 +130,30 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 	var nextShard atomic.Int64
 	mapErrs := make([]error, resident)
 	exec.Go(resident, func(runner int) {
-		for {
-			if abort.Load() || ctx.Err() != nil {
-				return
-			}
+		for !abort.Load() && ctx.Err() == nil {
 			shard := int(nextShard.Add(1)) - 1
 			if shard >= shards {
 				return
 			}
+			// parts is sorted, so shard s is the ID range [lo, hi).
+			lo, _ := slices.BinarySearch(parts, int32(shard))
+			hi, _ := slices.BinarySearch(parts, int32(shard+1))
 			sm, err := sf.MapShard(shard)
+			if err == nil && len(sm.VMap) != hi-lo {
+				// MapShard proved every VMap entry is a shard vertex;
+				// a short one would leave a vertex uncolored and its
+				// higher neighbors waiting on it.
+				err = fmt.Errorf("coloring: v3 shard %d maps %d of its %d vertices (corrupt file)", shard, len(sm.VMap), hi-lo)
+				sm.Close()
+			}
 			if err != nil {
 				mapErrs[runner] = err
 				abort.Store(true)
 				return
 			}
-			pv := int32(shard)
 			shardStart := time.Now()
 			exec.Go(workers, func(w int) {
 				idx := shard*workers + w
-				defer func() { flatDur[idx] = time.Since(shardStart) }()
 				s := ws[idx]
 				loop := exec.OwnerLoop{
 					Ctx:   ctx,
@@ -198,167 +161,47 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 					Ring:  s.ring,
 					Shard: s.sh,
 					Attempt: func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
-						return attemptInterior(s, sm, pv, v)
+						return dctAttempt(s, shared, v, sm.Neighbors(int(v)-lo), sorted, false)
 					},
-					// A mark is progress too: the awaited vertex went to
-					// the frontier, and the replay cascades the parked
-					// vertex after it instead of waiting forever.
 					Published: func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != 0 },
 					FailErr:   ErrPaletteExhausted,
 					Clock:     clock,
 					OnForward: onForward,
 				}
-				s.err = loop.RunList(sm.VMap, w, workers)
+				s.err = loop.RunRange(lo+w, workers, hi)
+				flatDur[idx] = time.Since(shardStart)
 			})
 			sm.Close()
 		}
 	})
 
-	foldStats := func() {
-		st.VerticesPerWorker = ss.PerWorkerInto(obs.CtrVertices, sc.perWorkerBuf(0, flat))
-		st.Deferred = ss.Total(obs.CtrDeferred)
-		st.DeferRetries = ss.Total(obs.CtrDeferRetries)
-		st.SpinWaits = ss.Total(obs.CtrSpinWaits)
-		st.CrossShardDefers = ss.Total(obs.CtrCrossDefers)
-		st.ForwardRingPeak = rings.Peak()
-		st.PeakMappedBytes = sf.Stats().PeakResidentBytes
-	}
-
-	st.ShardVertices = sc.perWorkerBuf(2, shards)
-	if st.ShardVertices == nil {
-		st.ShardVertices = make([]int64, shards)
-	} else {
-		clear(st.ShardVertices)
-	}
-	st.ShardDurations = sc.durBuf(1, shards)
-	if st.ShardDurations == nil {
-		st.ShardDurations = make([]time.Duration, shards)
-	}
-	for shard := 0; shard < shards; shard++ {
-		for w := 0; w < workers; w++ {
-			st.ShardVertices[shard] += ss.Shard(shard*workers + w).Get(obs.CtrVertices)
-			if d := flatDur[shard*workers+w]; d > st.ShardDurations[shard] {
-				st.ShardDurations[shard] = d
-			}
-		}
-	}
+	st.VerticesPerWorker = ss.PerWorkerInto(obs.CtrVertices, sc.perWorkerBuf(0, flat))
+	st.Deferred = ss.Total(obs.CtrDeferred)
+	st.DeferRetries = ss.Total(obs.CtrDeferRetries)
+	st.SpinWaits = ss.Total(obs.CtrSpinWaits)
+	st.ForwardRingPeak = rings.Peak()
+	st.PeakMappedBytes = sf.Stats().PeakResidentBytes
+	st.ShardVertices, st.ShardDurations = foldShards(sc, ss, flatDur, shards, workers)
 
 	for _, err := range mapErrs {
 		if err != nil {
-			foldStats()
 			return nil, st, err
 		}
 	}
 	for _, s := range ws {
 		if s.err != nil {
-			foldStats()
 			return nil, st, s.err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		foldStats()
 		return nil, st, err
-	}
-
-	// The barrier: every vertex is now colored or marked. Collect the
-	// frontier in ascending index order — membership is structural, so
-	// this list (and its size) is identical across timings and matches
-	// the persisted boundary blocks exactly.
-	frontier := sc.pendingBuf(n)[:0]
-	for v := range shared {
-		if shared[v] == shardMark {
-			frontier = append(frontier, graph.VertexID(v))
-		}
-	}
-	st.FrontierVertices = len(frontier)
-
-	// Frontier phase: the boundary blocks hold each frontier vertex's
-	// u<v adjacency — the exact subsequence the in-core attempt walks —
-	// so resolving the frontier maps only the cut, never a full shard.
-	if len(frontier) > 0 {
-		bms := make([]*graph.BoundaryMap, shards)
-		closeBms := func() {
-			for _, bm := range bms {
-				if bm != nil {
-					bm.Close()
-				}
-			}
-		}
-		for k := 0; k < shards; k++ {
-			bm, err := sf.MapBoundary(k)
-			if err != nil {
-				closeBms()
-				foldStats()
-				return nil, st, err
-			}
-			bms[k] = bm
-		}
-		// Every runtime frontier vertex must appear in its shard's
-		// persisted boundary block; a CRC-consistent file that lies about
-		// the frontier is caught here rather than by a nil adjacency.
-		for _, v := range frontier {
-			if _, ok := bms[parts[v]].Find(v); !ok {
-				closeBms()
-				foldStats()
-				return nil, st, fmt.Errorf("coloring: v3 boundary block of shard %d is missing frontier vertex %d (corrupt file)", parts[v], v)
-			}
-		}
-		fw := min(workers, len(frontier))
-		attemptFrontier := func(s *workerScratch, v graph.VertexID) (graph.VertexID, exec.Outcome) {
-			s.state.Reset()
-			bm := bms[parts[v]]
-			i, _ := bm.Find(v) // prechecked above
-			for _, u := range bm.Neighbors(i) {
-				c := atomic.LoadUint32(&shared[u])
-				if c == shardMark {
-					return u, exec.Deferred
-				}
-				s.state.OrColorNum(c)
-			}
-			pick, _ := s.codec.FirstFree(s.state)
-			if pick == 0 {
-				return 0, exec.Failed
-			}
-			atomic.StoreUint32(&shared[v], uint32(pick))
-			s.sh.Inc(obs.CtrVertices)
-			return 0, exec.Colored
-		}
-		exec.Go(fw, func(w int) {
-			s := ws[w] // reuses the flat scratch + ring, both drained
-			loop := exec.OwnerLoop{
-				Ctx:   ctx,
-				Abort: &abort,
-				Ring:  s.ring,
-				Shard: s.sh,
-				Attempt: func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
-					return attemptFrontier(s, v)
-				},
-				// A zero color is impossible on the frontier, so
-				// "published" tests against the mark sentinel instead.
-				Published: func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != shardMark },
-				FailErr:   ErrPaletteExhausted,
-				Clock:     clock,
-				OnForward: onForward,
-			}
-			s.err = loop.RunList(frontier, w, fw)
-		})
-		closeBms()
-	}
-
-	foldStats()
-	for _, s := range ws {
-		if s.err != nil {
-			return nil, st, s.err
-		}
 	}
 	st.Rounds = 1
 	opts.Run.SetRound(1)
 	esp.Child("round").Attr("round", 1).Attr("pending", int64(n)).
 		Attr("conflicts_found", int64(0)).Attr("recolored", int64(0)).
 		Attr("deferred", st.Deferred).Attr("ring_peak", int64(st.ForwardRingPeak)).
-		Attr("shards", int64(shards)).Attr("frontier", int64(st.FrontierVertices)).
-		Attr("cross_shard_defers", st.CrossShardDefers).
-		Attr("cut_edges", st.CutEdges).
+		Attr("shards", int64(shards)).Attr("cut_edges", st.CutEdges).
 		Attr("resident_shards", int64(resident)).End()
 
 	colors := sc.colorsBuf(n)

@@ -1,14 +1,22 @@
 package coloring
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"bitcolor/internal/gen"
 	"bitcolor/internal/graph"
+	"bitcolor/internal/metrics"
 	"bitcolor/internal/partition"
 	"bitcolor/internal/reorder"
 )
@@ -43,19 +51,15 @@ func openV3ForTest(t *testing.T, g *graph.CSR, shards int, strategy string) *gra
 	return sf
 }
 
-// skeletonFor returns the offsets-only stand-in CSR an out-of-core run
-// receives: passing it (instead of g) proves the streamed executor
-// reads adjacency exclusively through the shard file.
-func skeletonFor(sf *graph.ShardedFile) *graph.CSR {
-	return &graph.CSR{Offsets: make([]int64, sf.NumVertices()+1)}
-}
-
-// TestStreamedMatchesShardedEverySweepPoint pins the tentpole acceptance
-// criterion: the out-of-core executor's coloring is byte-identical to
-// the in-core sharded engine — and hence to sequential greedy — at
-// every (shards × workers × residency × strategy) grid point, on
-// random, path and DBG-reordered graphs, while the partition-derived
-// statistics agree with the in-core run exactly.
+// TestStreamedMatchesShardedEverySweepPoint pins the ordered stream
+// against the in-core sharded engine at every (shards × workers ×
+// residency × strategy) grid point, on random, path and DBG-reordered
+// graphs. On a range file the colors are byte-identical to in-core and
+// to sequential greedy, the persisted partition totals equal the
+// in-core run's, and the stream has no frontier: FrontierVertices and
+// CrossShardDefers are exactly 0. A file whose partition is not
+// index-ordered (labelprop at more than one shard) is refused with
+// ErrUnorderedShards before anything is mapped.
 func TestStreamedMatchesShardedEverySweepPoint(t *testing.T) {
 	graphs := map[string]*graph.CSR{
 		"random": randomGraph(t, 2000, 24000, 9),
@@ -63,11 +67,32 @@ func TestStreamedMatchesShardedEverySweepPoint(t *testing.T) {
 	}
 	dbg, _ := reorder.DBG(randomGraph(t, 1500, 18000, 4))
 	graphs["dbg"] = dbg
+	refused := 0
 	for name, g := range graphs {
+		seq, err := Greedy(context.Background(), g, MaxColorsDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, s := range shardedShardSweep {
 			for _, strat := range shardedStrategies {
 				sf := openV3ForTest(t, g, s, strat)
-				skel := skeletonFor(sf)
+				if !slices.IsSorted(sf.Parts()) {
+					if strat != PartitionLabelProp {
+						t.Fatalf("%s s=%d: %s file is not index-ordered", name, s, strat)
+					}
+					for _, r := range []int{1, 2} {
+						res, _, err := ShardedOpts(context.Background(), nil, MaxColorsDefault,
+							Options{Workers: 2, OutOfCore: true, MaxResidentShards: r, ShardFile: sf})
+						if !errors.Is(err, ErrUnorderedShards) || res != nil {
+							t.Fatalf("%s s=%d r=%d %s: want ErrUnorderedShards, got %v", name, s, r, strat, err)
+						}
+					}
+					if got := sf.Stats(); got.Maps != 0 {
+						t.Fatalf("%s s=%d %s: refused run mapped %d sections", name, s, strat, got.Maps)
+					}
+					refused++
+					continue
+				}
 				for _, w := range shardedWorkerSweep {
 					ref, ist, err := ShardedOpts(context.Background(), g, MaxColorsDefault,
 						Options{Workers: w, Shards: s, PartitionStrategy: strat})
@@ -75,15 +100,15 @@ func TestStreamedMatchesShardedEverySweepPoint(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, r := range []int{1, 2} {
-						res, st, err := ShardedOpts(context.Background(), skel, MaxColorsDefault,
+						res, st, err := ShardedOpts(context.Background(), nil, MaxColorsDefault,
 							Options{Workers: w, OutOfCore: true, MaxResidentShards: r, ShardFile: sf})
 						if err != nil {
 							t.Fatalf("%s s=%d w=%d r=%d %s: %v", name, s, w, r, strat, err)
 						}
 						for v := range ref.Colors {
-							if res.Colors[v] != ref.Colors[v] {
-								t.Fatalf("%s s=%d w=%d r=%d %s: vertex %d: streamed %d, in-core %d",
-									name, s, w, r, strat, v, res.Colors[v], ref.Colors[v])
+							if res.Colors[v] != ref.Colors[v] || res.Colors[v] != seq.Colors[v] {
+								t.Fatalf("%s s=%d w=%d r=%d %s: vertex %d: streamed %d, in-core %d, greedy %d",
+									name, s, w, r, strat, v, res.Colors[v], ref.Colors[v], seq.Colors[v])
 							}
 						}
 						if err := VerifySharded(sf, res.Colors); err != nil {
@@ -93,24 +118,19 @@ func TestStreamedMatchesShardedEverySweepPoint(t *testing.T) {
 							t.Fatalf("%s s=%d w=%d r=%d %s: rounds=%d shards=%d workers=%d",
 								name, s, w, r, strat, st.Rounds, st.Shards, st.Workers)
 						}
-						if st.FrontierVertices != ist.FrontierVertices ||
-							st.CutEdges != ist.CutEdges ||
-							st.BoundaryVertices != ist.BoundaryVertices ||
-							st.CrossShardDefers != ist.CrossShardDefers {
-							t.Fatalf("%s s=%d w=%d r=%d %s: partition stats diverge: streamed %d/%d/%d/%d, in-core %d/%d/%d/%d",
-								name, s, w, r, strat,
-								st.FrontierVertices, st.CutEdges, st.BoundaryVertices, st.CrossShardDefers,
-								ist.FrontierVertices, ist.CutEdges, ist.BoundaryVertices, ist.CrossShardDefers)
+						if st.CutEdges != ist.CutEdges || st.BoundaryVertices != ist.BoundaryVertices {
+							t.Fatalf("%s s=%d w=%d r=%d %s: partition totals diverge: streamed %d/%d, in-core %d/%d",
+								name, s, w, r, strat, st.CutEdges, st.BoundaryVertices, ist.CutEdges, ist.BoundaryVertices)
+						}
+						if st.FrontierVertices != 0 || st.CrossShardDefers != 0 {
+							t.Fatalf("%s s=%d w=%d r=%d %s: ordered stream has frontier %d, cross-shard defers %d",
+								name, s, w, r, strat, st.FrontierVertices, st.CrossShardDefers)
 						}
 						if st.TotalVertices() != int64(g.NumVertices()) {
 							t.Fatalf("%s s=%d w=%d r=%d %s: colored %d of %d",
 								name, s, w, r, strat, st.TotalVertices(), g.NumVertices())
 						}
-						want := r
-						if want > s {
-							want = s
-						}
-						if st.ResidentShards != want || st.PeakMappedBytes <= 0 {
+						if want := min(r, s); st.ResidentShards != want || st.PeakMappedBytes <= 0 {
 							t.Fatalf("%s s=%d w=%d r=%d %s: resident=%d peak=%d",
 								name, s, w, r, strat, st.ResidentShards, st.PeakMappedBytes)
 						}
@@ -122,11 +142,15 @@ func TestStreamedMatchesShardedEverySweepPoint(t *testing.T) {
 			}
 		}
 	}
+	if refused == 0 {
+		t.Fatal("no labelprop file was refused: the refusal arm never ran")
+	}
 }
 
 // TestStreamedTable3StandIns runs the out-of-core executor across every
-// Table 3 stand-in at real shard and residency parallelism: always the
-// sequential greedy coloring of the DBG order.
+// Table 3 stand-in at real shard and residency parallelism: a range
+// file always streams to the sequential greedy coloring of the DBG
+// order, and a labelprop file is refused before anything is mapped.
 func TestStreamedTable3StandIns(t *testing.T) {
 	for _, d := range gen.SmallRegistry() {
 		d := d
@@ -140,22 +164,29 @@ func TestStreamedTable3StandIns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, strat := range shardedStrategies {
-				sf := openV3ForTest(t, h, 4, strat)
-				res, st, err := ShardedOpts(context.Background(), skeletonFor(sf), MaxColorsDefault,
-					Options{Workers: 4, OutOfCore: true, MaxResidentShards: 2, ShardFile: sf})
-				if err != nil {
-					t.Fatalf("%s: %v", strat, err)
+			sf := openV3ForTest(t, h, 4, PartitionRanges)
+			res, st, err := ShardedOpts(context.Background(), nil, MaxColorsDefault,
+				Options{Workers: 4, OutOfCore: true, MaxResidentShards: 2, ShardFile: sf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Rounds != 1 || st.FrontierVertices != 0 {
+				t.Fatalf("rounds = %d, frontier = %d", st.Rounds, st.FrontierVertices)
+			}
+			for v := range seq.Colors {
+				if res.Colors[v] != seq.Colors[v] {
+					t.Fatalf("vertex %d: streamed %d, sequential %d", v, res.Colors[v], seq.Colors[v])
 				}
-				if st.Rounds != 1 {
-					t.Fatalf("%s: rounds = %d", strat, st.Rounds)
-				}
-				for v := range seq.Colors {
-					if res.Colors[v] != seq.Colors[v] {
-						t.Fatalf("%s: vertex %d: streamed %d, sequential %d",
-							strat, v, res.Colors[v], seq.Colors[v])
-					}
-				}
+			}
+
+			lp := openV3ForTest(t, h, 4, PartitionLabelProp)
+			res, _, err = ShardedOpts(context.Background(), nil, MaxColorsDefault,
+				Options{Workers: 4, OutOfCore: true, MaxResidentShards: 2, ShardFile: lp})
+			if !errors.Is(err, ErrUnorderedShards) || res != nil {
+				t.Fatalf("labelprop: want ErrUnorderedShards, got %v", err)
+			}
+			if got := lp.Stats(); got.Maps != 0 {
+				t.Fatalf("labelprop: refused run mapped %d sections", got.Maps)
 			}
 		})
 	}
@@ -171,22 +202,14 @@ func streamShardPayload(nvLocal int, neLocal int64) int64 {
 }
 
 // TestStreamedBoundedResidency pins the out-of-core invariant on a
-// 4-shard graph: with MaxResidentShards=1 the peak mapped bytes stay
-// below the full CSR footprint and within one (largest) shard payload
-// plus the boundary blocks — the graph never resides in memory whole.
+// 4-shard graph: the peak mapped bytes stay within residency × the
+// largest shard payload (the stream maps nothing else), and with one
+// resident shard below the full CSR footprint — the graph never resides
+// in memory whole.
 func TestStreamedBoundedResidency(t *testing.T) {
 	g := randomGraph(t, 4000, 48000, 21)
 	const shards = 4
 	sf := openV3ForTest(t, g, shards, PartitionRanges)
-	_, st, err := ShardedOpts(context.Background(), skeletonFor(sf), MaxColorsDefault,
-		Options{Workers: 2, OutOfCore: true, MaxResidentShards: 1, ShardFile: sf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullCSR := int64(g.NumVertices()+1)*8 + g.NumEdges()*4
-	if st.PeakMappedBytes <= 0 || st.PeakMappedBytes >= fullCSR {
-		t.Fatalf("peak mapped %d bytes not below the %d-byte full CSR", st.PeakMappedBytes, fullCSR)
-	}
 	var maxShard int64
 	for s := 0; s < shards; s++ {
 		nv, ne := sf.ShardSize(s)
@@ -194,33 +217,23 @@ func TestStreamedBoundedResidency(t *testing.T) {
 			maxShard = p
 		}
 	}
-	// Boundary-block footprint from the frontier mask: offsets, vertex
-	// list and the u<v adjacency of every frontier vertex.
-	mask := graph.FrontierMask(g, sf.Parts())
-	var bndBytes int64
-	perShardB := make([]int64, shards)
-	for v, m := range mask {
-		if !m {
-			continue
+	fullCSR := int64(g.NumVertices()+1)*8 + g.NumEdges()*4
+	for _, r := range []int{1, 2} {
+		_, st, err := ShardedOpts(context.Background(), nil, MaxColorsDefault,
+			Options{Workers: 2, OutOfCore: true, MaxResidentShards: r, ShardFile: sf})
+		if err != nil {
+			t.Fatal(err)
 		}
-		perShardB[sf.Parts()[v]]++
-		for _, u := range g.Neighbors(graph.VertexID(v)) {
-			if u < graph.VertexID(v) {
-				bndBytes += 4
-			}
+		if st.PeakMappedBytes <= 0 || (r == 1 && st.PeakMappedBytes >= fullCSR) {
+			t.Fatalf("r=%d: peak mapped %d bytes not below the %d-byte full CSR", r, st.PeakMappedBytes, fullCSR)
 		}
-	}
-	for _, nb := range perShardB {
-		if nb > 0 {
-			bndBytes += (nb+1)*8 + nb*4
+		if limit := int64(r) * maxShard; st.PeakMappedBytes > limit {
+			t.Fatalf("r=%d: peak mapped %d bytes exceeds residency × largest shard payload (%d)",
+				r, st.PeakMappedBytes, limit)
 		}
-	}
-	if limit := maxShard + bndBytes; st.PeakMappedBytes > limit {
-		t.Fatalf("peak mapped %d bytes exceeds one shard payload + boundary blocks (%d)",
-			st.PeakMappedBytes, limit)
-	}
-	if got := sf.Stats(); got.ResidentBytes != 0 {
-		t.Fatalf("resident bytes %d after run", got.ResidentBytes)
+		if got := sf.Stats(); got.ResidentBytes != 0 {
+			t.Fatalf("r=%d: resident bytes %d after run", r, got.ResidentBytes)
+		}
 	}
 }
 
@@ -234,12 +247,11 @@ func TestStreamedScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf := openV3ForTest(t, g, 4, PartitionRanges)
-	skel := skeletonFor(sf)
 	sc := AcquireScratch("sharded", 2, g.NumVertices())
 	defer sc.Release()
 	for i := 0; i < 3; i++ {
 		for _, r := range []int{1, 2, 4} {
-			res, _, err := ShardedOpts(context.Background(), skel, MaxColorsDefault,
+			res, _, err := ShardedOpts(context.Background(), nil, MaxColorsDefault,
 				Options{Workers: 2, OutOfCore: true, MaxResidentShards: r, ShardFile: sf, Scratch: sc})
 			if err != nil {
 				t.Fatalf("iter %d r=%d: %v", i, r, err)
@@ -307,7 +319,7 @@ func TestStreamedPartitionReuse(t *testing.T) {
 
 // TestStreamedPaletteExhausted: the 80-clique under a 64-color palette
 // must fail with ErrPaletteExhausted out of core too — the failure
-// surfaces in the frontier phase, and every worker stops.
+// surfaces in the second shard, and every worker stops.
 func TestStreamedPaletteExhausted(t *testing.T) {
 	const n = 80
 	var edges []graph.Edge
@@ -322,7 +334,7 @@ func TestStreamedPaletteExhausted(t *testing.T) {
 	}
 	sf := openV3ForTest(t, g, 2, PartitionRanges)
 	for _, w := range []int{1, 4} {
-		res, _, err := ShardedOpts(context.Background(), skeletonFor(sf), 64,
+		res, _, err := ShardedOpts(context.Background(), nil, 64,
 			Options{MaxColors: 64, Workers: w, OutOfCore: true, MaxResidentShards: 2, ShardFile: sf})
 		if !errors.Is(err, ErrPaletteExhausted) {
 			t.Fatalf("w=%d: want ErrPaletteExhausted, got %v", w, err)
@@ -343,7 +355,7 @@ func TestStreamedCancel(t *testing.T) {
 	small := openV3ForTest(t, randomGraph(t, 200, 800, 2), 2, PartitionRanges)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, _, err := ShardedOpts(ctx, skeletonFor(small), MaxColorsDefault,
+	res, _, err := ShardedOpts(ctx, nil, MaxColorsDefault,
 		Options{Workers: 2, OutOfCore: true, ShardFile: small})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -360,7 +372,7 @@ func TestStreamedCancel(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := ShardedOpts(ctx, skeletonFor(big), MaxColorsDefault,
+		_, _, err := ShardedOpts(ctx, nil, MaxColorsDefault,
 			Options{Workers: 2, OutOfCore: true, MaxResidentShards: 1, ShardFile: big})
 		done <- err
 	}()
@@ -376,14 +388,14 @@ func TestStreamedCancel(t *testing.T) {
 
 // TestStreamedEmptyAndSingleShard pins the degenerate shapes: an empty
 // graph and a one-shard file both stream to the correct (trivial or
-// greedy-identical) coloring without a frontier phase.
+// greedy-identical) coloring.
 func TestStreamedEmptyAndSingleShard(t *testing.T) {
 	empty, err := graph.FromEdgeList(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sfe := openV3ForTest(t, empty, 1, PartitionRanges)
-	res, st, err := ShardedOpts(context.Background(), skeletonFor(sfe), MaxColorsDefault,
+	res, st, err := ShardedOpts(context.Background(), nil, MaxColorsDefault,
 		Options{Workers: 4, OutOfCore: true, ShardFile: sfe})
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +410,7 @@ func TestStreamedEmptyAndSingleShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf1 := openV3ForTest(t, g, 1, PartitionRanges)
-	res, st, err = ShardedOpts(context.Background(), skeletonFor(sf1), MaxColorsDefault,
+	res, st, err = ShardedOpts(context.Background(), nil, MaxColorsDefault,
 		Options{Workers: 2, OutOfCore: true, ShardFile: sf1})
 	if err != nil {
 		t.Fatal(err)
@@ -450,5 +462,195 @@ func TestVerifySharded(t *testing.T) {
 	}
 	if got := sf.Stats(); got.ResidentBytes != 0 {
 		t.Fatalf("verifier leaked %d resident bytes", got.ResidentBytes)
+	}
+}
+
+// bridgedShardsGraph builds k range shards of size vertices each: every
+// shard is a path whose vertices all neighbor the shard's first vertex,
+// and that first vertex neighbors the previous shard's last vertex. With
+// two or more shards resident, a shard's first vertex waits on a shard
+// still coloring its path and every vertex behind it waits on that one,
+// so waits cross shards and fill the forwarding rings.
+func bridgedShardsGraph(t testing.TB, k, size int) *graph.CSR {
+	t.Helper()
+	var edges []graph.Edge
+	for s := 0; s < k; s++ {
+		lo := s * size
+		if s > 0 {
+			edges = append(edges, graph.Edge{U: graph.VertexID(lo - 1), V: graph.VertexID(lo)})
+		}
+		for v := lo + 1; v < lo+size; v++ {
+			edges = append(edges,
+				graph.Edge{U: graph.VertexID(lo), V: graph.VertexID(v)},
+				graph.Edge{U: graph.VertexID(v - 1), V: graph.VertexID(v)})
+		}
+	}
+	g, err := graph.FromEdgeList(k*size, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestStreamedOrderedWindow runs the ordered stream at residency 2 and 4
+// and w ∈ {1, 2, 4} on a path and on bridgedShardsGraph, where a shard's
+// first vertex waits on the previous shard: waits cross shards inside
+// the window (parks on the forwarding ring, and ring-full inline waits
+// when a whole shard queues behind its first vertex). Every run must map
+// each shard exactly once, color like sequential greedy with no
+// frontier, fill one stats entry per shard, and leave nothing mapped.
+// Run it under -race: those waits are the window's only cross-shard
+// communication.
+func TestStreamedOrderedWindow(t *testing.T) {
+	const shards, size = 4, 3000
+	graphs := map[string]*graph.CSR{
+		"path":    pathGraph(t, shards*size),
+		"bridged": bridgedShardsGraph(t, shards, size),
+	}
+	for name, g := range graphs {
+		seq, err := Greedy(context.Background(), g, MaxColorsDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sf := openV3ForTest(t, g, shards, PartitionRanges)
+		for _, r := range []int{2, 4} {
+			for _, w := range []int{1, 2, 4} {
+				label := fmt.Sprintf("%s r=%d w=%d", name, r, w)
+				before := sf.Stats()
+				res, st, err := ShardedOpts(context.Background(), nil, MaxColorsDefault,
+					Options{Workers: w, OutOfCore: true, MaxResidentShards: r, ShardFile: sf})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				after := sf.Stats()
+				if maps, unmaps := after.Maps-before.Maps, after.Unmaps-before.Unmaps; maps != shards || unmaps != shards || after.ResidentBytes != 0 {
+					t.Fatalf("%s: maps %d, unmaps %d, resident %d bytes; want each shard mapped once and released",
+						label, maps, unmaps, after.ResidentBytes)
+				}
+				for v := range seq.Colors {
+					if res.Colors[v] != seq.Colors[v] {
+						t.Fatalf("%s: vertex %d: streamed %d, greedy %d", label, v, res.Colors[v], seq.Colors[v])
+					}
+				}
+				if st.Rounds != 1 || st.FrontierVertices != 0 || st.CrossShardDefers != 0 || st.ResidentShards != r {
+					t.Fatalf("%s: rounds=%d frontier=%d cross=%d resident=%d",
+						label, st.Rounds, st.FrontierVertices, st.CrossShardDefers, st.ResidentShards)
+				}
+				if st.DeferRetries < st.Deferred {
+					t.Fatalf("%s: %d parks but %d replays", label, st.Deferred, st.DeferRetries)
+				}
+				if len(st.ShardVertices) != shards {
+					t.Fatalf("%s: %d shard entries", label, len(st.ShardVertices))
+				}
+				for s, nv := range st.ShardVertices {
+					if nv != size {
+						t.Fatalf("%s: shard %d colored %d of %d vertices", label, s, nv, size)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamedCorruptShard flips a byte of shard 2's edges. At every
+// residency the run must end in that shard's checksum error — with the
+// shards around it mapped and colored concurrently when the window
+// allows — release every mapping it made and leave no goroutine behind.
+func TestStreamedCorruptShard(t *testing.T) {
+	g := randomGraph(t, 4000, 32000, 17)
+	path := writeV3ForTest(t, g, 4, PartitionRanges)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 2's edges section is its vertices' adjacency, verbatim.
+	a, err := BuildPartition(g, 4, PartitionRanges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, _ := slices.BinarySearch(a.Parts, 2)
+	hi, _ := slices.BinarySearch(a.Parts, 3)
+	sec := g.Edges[g.Offsets[lo]:g.Offsets[hi]]
+	want := make([]byte, 4*len(sec))
+	for i, u := range sec {
+		binary.LittleEndian.PutUint32(want[4*i:], uint32(u))
+	}
+	at := bytes.Index(img, want)
+	if at < 0 {
+		t.Fatal("shard 2's edges not found in the file")
+	}
+	img[at+len(want)/2] ^= 0x10
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sf, err := graph.OpenShardedFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	baseline := runtime.NumGoroutine()
+	for _, r := range []int{1, 2, 4} {
+		for _, w := range []int{1, 2} {
+			res, _, err := ShardedOpts(context.Background(), nil, MaxColorsDefault,
+				Options{Workers: w, OutOfCore: true, MaxResidentShards: r, ShardFile: sf})
+			if err == nil || !strings.Contains(err.Error(), "v3 shard 2 section checksum mismatch") || res != nil {
+				t.Fatalf("r=%d w=%d: want shard 2's checksum error, got %v", r, w, err)
+			}
+			if got := sf.Stats(); got.Maps == 0 || got.Maps != got.Unmaps || got.ResidentBytes != 0 {
+				t.Fatalf("r=%d w=%d: mappings not released: %+v", r, w, got)
+			}
+		}
+	}
+	// The engine joins every goroutine it starts; one that has called
+	// Done may still be on its way out, so allow it a moment.
+	for i := 0; runtime.NumGoroutine() > baseline; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after the failed runs, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShardStatsOneEntryPerShard pins the RunStats contract the
+// benchmark harness relies on: whenever Shards > 0, ShardVertices and
+// ShardDurations hold one entry per shard, and the vertex entries plus
+// the in-core frontier cover the graph — in core at 1, 2 and 4 shards (one shard
+// is the dctRun delegate), with and without a Scratch, and streamed.
+func TestShardStatsOneEntryPerShard(t *testing.T) {
+	g := randomGraph(t, 1200, 9600, 23)
+	check := func(label string, st metrics.RunStats, shards int) {
+		t.Helper()
+		if st.Shards != shards || len(st.ShardVertices) != shards || len(st.ShardDurations) != shards {
+			t.Fatalf("%s: shards %d with %d vertex and %d duration entries, want %d",
+				label, st.Shards, len(st.ShardVertices), len(st.ShardDurations), shards)
+		}
+		sum := int64(st.FrontierVertices)
+		for _, v := range st.ShardVertices {
+			sum += v
+		}
+		if sum != int64(g.NumVertices()) {
+			t.Fatalf("%s: shard entries cover %d of %d vertices", label, sum, g.NumVertices())
+		}
+	}
+	for _, w := range []int{1, 2} {
+		sc := AcquireScratch("sharded", w, g.NumVertices())
+		for _, s := range []int{1, 2, 4} {
+			for _, scratch := range []*Scratch{nil, sc} {
+				_, st, err := ShardedOpts(context.Background(), g, MaxColorsDefault,
+					Options{Workers: w, Shards: s, Scratch: scratch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("in-core s=%d w=%d scratch=%v", s, w, scratch != nil), st, s)
+			}
+			sf := openV3ForTest(t, g, s, PartitionRanges)
+			_, st, err := ShardedOpts(context.Background(), nil, MaxColorsDefault,
+				Options{Workers: w, OutOfCore: true, MaxResidentShards: 2, ShardFile: sf, Scratch: sc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("streamed s=%d w=%d", s, w), st, s)
+		}
+		sc.Release()
 	}
 }

@@ -195,11 +195,10 @@ func streamArm(ctx *Context, sharded coloring.EngineInfo, path string, n int, ro
 	}
 	defer sf.Close()
 	row.CacheHit = len(sf.Parts()) == n && sf.Shards() == outOfCoreShards
-	// The streaming executor needs only the vertex count from the CSR
-	// argument; the adjacency comes from the residency window.
-	skeleton := &graph.CSR{Offsets: make([]int64, n+1)}
+	// The streaming executor takes no graph: the adjacency comes from
+	// the residency window.
 	start = time.Now()
-	cres, cst, err := sharded.Run(ctx.RunCtx(), skeleton, coloring.Options{
+	cres, cst, err := sharded.Run(ctx.RunCtx(), nil, coloring.Options{
 		Workers: 1, OutOfCore: true, ShardFile: sf,
 		MaxResidentShards: outOfCoreResident,
 	})

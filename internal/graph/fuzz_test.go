@@ -328,12 +328,6 @@ func FuzzReadBinaryV3(f *testing.F) {
 			if err != nil {
 				t.Fatalf("MapShard(%d) rejected a file ReadBinaryV3 accepted: %v", s, err)
 			}
-			bm, err := sf.MapBoundary(s)
-			if err != nil {
-				sm.Close()
-				t.Fatalf("MapBoundary(%d) rejected a file ReadBinaryV3 accepted: %v", s, err)
-			}
-			bm.Close()
 			sm.Close()
 		}
 	})

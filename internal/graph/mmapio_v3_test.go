@@ -212,7 +212,7 @@ func TestOpenShardedFile(t *testing.T) {
 		if sf.NumVertices() != 400 || sf.NumEdges() != g.NumEdges() || sf.Shards() != tc.k {
 			t.Fatalf("%s: shape %d/%d/%d", tc.name, sf.NumVertices(), sf.NumEdges(), sf.Shards())
 		}
-		mask, cut, boundary := v3Audit(g, tc.parts)
+		_, cut, boundary := v3Audit(g, tc.parts)
 		if sf.CutEdges() != cut || sf.Boundary() != boundary {
 			t.Fatalf("%s: totals (%d,%d), want (%d,%d)", tc.name, sf.CutEdges(), sf.Boundary(), cut, boundary)
 		}
@@ -239,45 +239,6 @@ func TestOpenShardedFile(t *testing.T) {
 						t.Fatalf("%s: shard %d vertex %d adjacency differs at %d", tc.name, s, v, x)
 					}
 				}
-			}
-			bm, err := sf.MapBoundary(s)
-			if err != nil {
-				t.Fatalf("%s: MapBoundary(%d): %v", tc.name, s, err)
-			}
-			bi := 0
-			for _, v := range sm.VMap {
-				if !mask[v] {
-					if _, ok := bm.Find(v); ok {
-						t.Fatalf("%s: non-frontier vertex %d in boundary block", tc.name, v)
-					}
-					continue
-				}
-				j, ok := bm.Find(v)
-				if !ok || bm.BVerts[j] != v {
-					t.Fatalf("%s: frontier vertex %d missing from boundary block", tc.name, v)
-				}
-				var lower []VertexID
-				for _, u := range g.Neighbors(v) {
-					if u < v {
-						lower = append(lower, u)
-					}
-				}
-				got := bm.Neighbors(j)
-				if len(got) != len(lower) {
-					t.Fatalf("%s: boundary adjacency of %d has %d entries, want %d", tc.name, v, len(got), len(lower))
-				}
-				for x := range lower {
-					if got[x] != lower[x] {
-						t.Fatalf("%s: boundary adjacency of %d differs at %d", tc.name, v, x)
-					}
-				}
-				bi++
-			}
-			if bi != len(bm.BVerts) {
-				t.Fatalf("%s: shard %d boundary block has %d extra vertices", tc.name, s, len(bm.BVerts)-bi)
-			}
-			if err := bm.Close(); err != nil {
-				t.Fatalf("%s: BoundaryMap.Close: %v", tc.name, err)
 			}
 			if err := sm.Close(); err != nil {
 				t.Fatalf("%s: ShardMap.Close: %v", tc.name, err)
@@ -337,8 +298,15 @@ func TestOpenShardedFileRejectsCorruption(t *testing.T) {
 			t.Errorf("corruption at byte %d accepted at open", at)
 		}
 	}
-	// Section corruption fails at MapShard/MapBoundary time.
-	sf, err := OpenShardedFile(flip(t, len(img)-65))
+	// Section corruption fails at MapShard time: flip a byte of the
+	// last shard's edges.
+	valid, err := OpenShardedFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := int(valid.meta.dir[valid.Shards()-1].edgesOff) + 8
+	valid.Close()
+	sf, err := OpenShardedFile(flip(t, at))
 	if err != nil {
 		t.Fatalf("open with section corruption: %v", err)
 	}
@@ -350,14 +318,14 @@ func TestOpenShardedFileRejectsCorruption(t *testing.T) {
 		} else {
 			sm.Close()
 		}
-		if bm, err := sf.MapBoundary(s); err != nil {
-			failed = true
-		} else {
-			bm.Close()
-		}
 	}
 	if !failed {
-		t.Error("section corruption never detected by MapShard/MapBoundary")
+		t.Error("section corruption never detected by MapShard")
+	}
+	// The boundary blocks are never mapped; the copying reader audits
+	// them (len(img)-65 lies in the last shard's boundary block).
+	if _, _, err := LoadBinaryV3File(flip(t, len(img)-65)); err == nil {
+		t.Error("boundary-block corruption accepted by the copying reader")
 	}
 	// Truncated file fails at open.
 	p := filepath.Join(t.TempDir(), "trunc.bcsr")
@@ -399,7 +367,7 @@ func TestMappedCSRConcurrentClose(t *testing.T) {
 }
 
 // TestShardMapConcurrentClose proves the hardened close path carries
-// over to the v3 shard and boundary maps.
+// over to the v3 shard maps.
 func TestShardMapConcurrentClose(t *testing.T) {
 	g := v3TestGraph(t, 200, 1400, 29)
 	path := writeV3File(t, g, rangeParts(200, 2), 2, V3PartitionRanges)
@@ -413,10 +381,6 @@ func TestShardMapConcurrentClose(t *testing.T) {
 		if err != nil {
 			t.Fatalf("MapShard: %v", err)
 		}
-		bm, err := sf.MapBoundary(round % 2)
-		if err != nil {
-			t.Fatalf("MapBoundary: %v", err)
-		}
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
 			wg.Add(1)
@@ -424,9 +388,6 @@ func TestShardMapConcurrentClose(t *testing.T) {
 				defer wg.Done()
 				if err := sm.Close(); err != nil {
 					t.Errorf("ShardMap.Close: %v", err)
-				}
-				if err := bm.Close(); err != nil {
-					t.Errorf("BoundaryMap.Close: %v", err)
 				}
 			}()
 		}

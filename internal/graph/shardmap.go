@@ -12,9 +12,11 @@ import (
 // ShardedFile is the random-access handle to a BCSR v3 file: the header
 // and meta section (partition assignment, totals, shard directory) are
 // read and fully verified at open and stay resident — O(V) for the
-// parts array — while shard payloads are mapped on demand via MapShard/
-// MapBoundary and retired again, so a streaming run's peak memory is
-// bounded by the shards it keeps mapped rather than the whole graph.
+// parts array — while shard payloads are mapped on demand via MapShard
+// and retired again, so a streaming run's peak memory is bounded by the
+// shards it keeps mapped rather than the whole graph. The boundary
+// blocks are never mapped: only the copying reader (LoadBinaryV3File,
+// Materialize) reads and audits them.
 // All methods are safe for concurrent use; the residency counters are
 // the instrumentation the bounded-residency invariant test asserts on.
 type ShardedFile struct {
@@ -32,8 +34,7 @@ type ShardedFile struct {
 
 // ShardMapStats is a snapshot of a handle's mapping activity.
 type ShardMapStats struct {
-	// Maps / Unmaps count shard-section mappings created and retired
-	// (boundary blocks included).
+	// Maps / Unmaps count shard-section mappings created and retired.
 	Maps, Unmaps int64
 	// ResidentBytes is the payload currently mapped (or pread-copied on
 	// the fallback path); PeakResidentBytes its high-water mark.
@@ -341,130 +342,6 @@ func (sm *ShardMap) Close() error {
 	mapping := sm.mapping
 	sm.mapping = nil
 	sm.Offsets, sm.Edges, sm.VMap = nil, nil, nil
-	if mapping != nil {
-		return releaseMapping(mapping)
-	}
-	return nil
-}
-
-// BoundaryMap is one shard's mapped boundary block: for each frontier
-// vertex (ascending), its u<v adjacency in source order — exactly what
-// the bounded second phase walks. A shard with no frontier vertices
-// yields an empty map with no backing mapping.
-type BoundaryMap struct {
-	sf      *ShardedFile
-	mapping []byte
-	bytes   int64
-	cl      closeOnce
-
-	BOffsets []int64
-	BVerts   []VertexID
-	BEdges   []VertexID
-}
-
-// MapBoundary maps shard s's boundary block, verifying its CRC and
-// structure, and charges the bytes to the residency counters.
-func (sf *ShardedFile) MapBoundary(s int) (*BoundaryMap, error) {
-	if sf.cl.done() {
-		return nil, fmt.Errorf("graph: ShardedFile used after Close")
-	}
-	if s < 0 || s >= sf.Shards() {
-		return nil, fmt.Errorf("graph: shard %d out of range [0,%d)", s, sf.Shards())
-	}
-	d := &sf.meta.dir[s]
-	bm := &BoundaryMap{sf: sf, BOffsets: []int64{}, BVerts: []VertexID{}, BEdges: []VertexID{}}
-	if d.nBoundary == 0 {
-		if crc32.Checksum(nil, crcTable) != uint32(d.sumB) {
-			return nil, fmt.Errorf("graph: v3 shard %d boundary checksum mismatch", s)
-		}
-		return bm, nil
-	}
-	mapping, view, err := sf.loadRange(d.bndOff, d.bndLen())
-	if err != nil {
-		return nil, err
-	}
-	bm.mapping, bm.bytes = mapping, int64(len(view))
-	if crc32.Checksum(view, crcTable) != uint32(d.sumB) {
-		releaseLoad(mapping)
-		return nil, fmt.Errorf("graph: v3 shard %d boundary checksum mismatch", s)
-	}
-	bvertsOff := (d.nBoundary + 1) * 8
-	bedgesOff := bvertsOff + d.nBoundary*4
-	if mapping != nil {
-		bm.BOffsets = unsafe.Slice((*int64)(unsafe.Pointer(&view[0])), d.nBoundary+1)
-		bm.BVerts = unsafe.Slice((*VertexID)(unsafe.Pointer(&view[bvertsOff])), d.nBoundary)
-		if d.nbEdges > 0 {
-			bm.BEdges = unsafe.Slice((*VertexID)(unsafe.Pointer(&view[bedgesOff])), d.nbEdges)
-		}
-		if err := validateBndSections(s, sf.hdr.nv, sf.meta.parts, bm.BOffsets, bm.BVerts, bm.BEdges, d); err != nil {
-			releaseLoad(mapping)
-			return nil, err
-		}
-	} else {
-		var err error
-		if bm.BOffsets, bm.BVerts, bm.BEdges, err = decodeV3Bnd(s, d, sf.hdr.nv, sf.meta.parts, view); err != nil {
-			return nil, err
-		}
-	}
-	sf.maps.Add(1)
-	sf.addResident(bm.bytes)
-	return bm, nil
-}
-
-// validateBndSections checks the invariants decodeV3Bnd enforces, over
-// already-typed (aliased) sections.
-func validateBndSections(s int, nv uint64, parts []int32, boffsets []int64, bverts, bedges []VertexID, d *v3ShardDir) error {
-	if boffsets[0] != 0 || boffsets[len(boffsets)-1] != int64(d.nbEdges) {
-		return fmt.Errorf("graph: v3 shard %d boundary offsets malformed", s)
-	}
-	for i, v := range bverts {
-		if uint64(v) >= nv || parts[v] != int32(s) {
-			return fmt.Errorf("graph: v3 shard %d frontier vertex %d not a shard vertex", s, v)
-		}
-		if i > 0 && v <= bverts[i-1] {
-			return fmt.Errorf("graph: v3 shard %d frontier vertices not ascending at %d", s, i)
-		}
-		if boffsets[i+1] < boffsets[i] {
-			return fmt.Errorf("graph: v3 shard %d boundary offsets decrease at %d", s, i)
-		}
-		for _, u := range bedges[boffsets[i]:boffsets[i+1]] {
-			if u >= v {
-				return fmt.Errorf("graph: v3 shard %d boundary edge %d not below vertex %d", s, u, v)
-			}
-		}
-	}
-	return nil
-}
-
-// Find locates a frontier vertex's index in BVerts (binary search).
-func (bm *BoundaryMap) Find(v VertexID) (int, bool) {
-	i := sort.Search(len(bm.BVerts), func(i int) bool { return bm.BVerts[i] >= v })
-	if i == len(bm.BVerts) || bm.BVerts[i] != v {
-		return 0, false
-	}
-	return i, true
-}
-
-// Neighbors returns the stored u<v adjacency of the frontier vertex at
-// index i, in source order.
-func (bm *BoundaryMap) Neighbors(i int) []VertexID {
-	return bm.BEdges[bm.BOffsets[i]:bm.BOffsets[i+1]]
-}
-
-// Close retires the boundary block. Idempotent, including under
-// concurrent double-Close.
-func (bm *BoundaryMap) Close() error {
-	if !bm.cl.first() {
-		return nil
-	}
-	if bm.mapping == nil && bm.bytes == 0 {
-		return nil // empty block: nothing was charged
-	}
-	bm.sf.unmaps.Add(1)
-	bm.sf.addResident(-bm.bytes)
-	mapping := bm.mapping
-	bm.mapping = nil
-	bm.BOffsets, bm.BVerts, bm.BEdges = nil, nil, nil
 	if mapping != nil {
 		return releaseMapping(mapping)
 	}

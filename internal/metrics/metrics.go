@@ -207,21 +207,26 @@ type RunStats struct {
 	CutEdges int64
 	// CrossShardDefers counts vertices pushed to the boundary frontier
 	// because a lower-indexed neighbor lives in another shard (the direct
-	// cross-shard cause; structural, so identical across timings).
+	// cross-shard cause; structural, so identical across timings). Always
+	// 0 out of core: the ordered stream has no frontier.
 	CrossShardDefers int64
 	// FrontierVertices is the boundary-frontier size the second phase
 	// colored: CrossShardDefers plus the in-shard cascade behind them.
+	// Always 0 out of core.
 	FrontierVertices int
 	// ShardVertices[s] counts the vertices shard s colored during the
 	// interior phase (frontier vertices are excluded — they are colored
-	// in the boundary phase).
+	// in the boundary phase). Whenever Shards > 0 it holds exactly Shards
+	// entries, the one-shard and out-of-core runs included.
 	ShardVertices []int64
 	// ShardDurations[s] is the wall time of shard s's interior phase (the
-	// slowest of its workers).
+	// slowest of its workers; out of core, timed from the moment the
+	// shard is mapped). Whenever Shards > 0 it holds exactly Shards
+	// entries, like ShardVertices.
 	ShardDurations []time.Duration
 	// ResidentShards is the bounded-residency limit of an out-of-core
 	// streamed run (0 for in-core runs): at most this many shard payloads
-	// were mapped at once during the interior phase.
+	// were mapped at once.
 	ResidentShards int
 	// PeakMappedBytes is the high-water mark of mapped shard-section
 	// bytes during an out-of-core streamed run (0 for in-core runs) —

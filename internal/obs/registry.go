@@ -365,6 +365,12 @@ func (rr *RunRegistry) LiveRuns() []LiveRun {
 	out := make([]LiveRun, 0, len(recs))
 	for _, r := range recs {
 		r.mu.Lock()
+		if r.done {
+			// Finished after the copy above: its shards are gone, and
+			// showing it would report zero progress for a live run.
+			r.mu.Unlock()
+			continue
+		}
 		lr := LiveRun{
 			ID:          r.id,
 			RunID:       r.runID,

@@ -2,9 +2,12 @@ package bitcolor
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"bitcolor/internal/coloring"
 )
 
 // TestSaveGraphV3RoundTrip pins the eager v3 open path: SaveGraphV3's
@@ -206,5 +209,83 @@ func TestColorHandleOutOfCore(t *testing.T) {
 	// OpenGraphFileOutOfCore itself rejects non-v3 files.
 	if _, err := OpenGraphFileOutOfCore(v2); err == nil || !strings.Contains(err.Error(), "BCSR v3") {
 		t.Fatalf("out-of-core open of v2: %v", err)
+	}
+	// Only range shards stream: a labelprop file is refused before any
+	// shard is mapped, and the error points at the in-core open.
+	lp := filepath.Join(t.TempDir(), "ef-lp.bcsr")
+	if err := SaveGraphV3(lp, g, 4, PartitionLabelProp); err != nil {
+		t.Fatal(err)
+	}
+	h3, err := OpenGraphFileOutOfCore(lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h3.Close()
+	if _, _, err := ColorHandle(h3, ColorOptions{Engine: EngineSharded}); !errors.Is(err, coloring.ErrUnorderedShards) ||
+		!strings.Contains(err.Error(), "OpenGraphFile") {
+		t.Fatalf("labelprop out-of-core run: %v", err)
+	}
+	if maps := h3.ShardStats().Maps; maps != 0 {
+		t.Fatalf("refused run mapped %d sections", maps)
+	}
+}
+
+// TestColorHandleOutOfCoreRecordsFileSize pins how an observed streamed
+// run is recorded. The engine gets no graph, so the engine span and the
+// run registry's flight recorder must take the vertex and edge counts
+// from the shard file, not report an empty graph.
+func TestColorHandleOutOfCoreRecordsFileSize(t *testing.T) {
+	g, err := Generate("GD", 14)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gd.bcsr")
+	if err := SaveGraphV3(path, g, 4, PartitionRanges); err != nil {
+		t.Fatal(err)
+	}
+	h, err := OpenGraphFileOutOfCore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	o := NewObserver()
+	if _, _, err := ColorHandle(h, ColorOptions{Engine: EngineSharded, Workers: 2, Observer: o}); err != nil {
+		t.Fatal(err)
+	}
+	wantV, wantE := int64(g.NumVertices()), g.NumEdges()
+	if wantV == 0 || wantE == 0 {
+		t.Fatal("empty test graph")
+	}
+	spans := 0
+	for _, sp := range o.Spans() {
+		if sp.Name != "engine/sharded" {
+			continue
+		}
+		spans++
+		attrs := map[string]any{}
+		for _, a := range sp.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		if attrs["vertices"] != wantV || attrs["edges"] != wantE {
+			t.Fatalf("engine span records vertices=%v edges=%v, want %d/%d",
+				attrs["vertices"], attrs["edges"], wantV, wantE)
+		}
+	}
+	if spans != 1 {
+		t.Fatalf("%d engine/sharded spans", spans)
+	}
+	found := false
+	for _, r := range RecentRuns() {
+		if r.Observer() != o {
+			continue
+		}
+		found = true
+		if r.Vertices != wantV || r.Edges != wantE {
+			t.Fatalf("flight recorder records vertices=%d edges=%d, want %d/%d",
+				r.Vertices, r.Edges, wantV, wantE)
+		}
+	}
+	if !found {
+		t.Fatal("observed streamed run missing from the flight recorder")
 	}
 }
