@@ -60,62 +60,45 @@ func NewGraph(n int, edges []Edge) (*Graph, error) {
 const (
 	// FormatEdgeList is a SNAP-style whitespace edge list.
 	FormatEdgeList = graph.FormatEdgeList
-	// FormatBCSR1 is the copying binary CSR format (SaveGraph's output).
+	// FormatBCSR1 is the retired v1 binary CSR format, still read by
+	// copying.
 	FormatBCSR1 = graph.FormatBCSR1
-	// FormatBCSR2 is the mmap-ready binary CSR v2 format: 64-byte-aligned
-	// little-endian sections behind a checksummed header, readable in
-	// place without parsing.
+	// FormatBCSR2 is the retired v2 binary CSR format (aligned offsets
+	// and edges behind a checksummed header), still read by copying.
 	FormatBCSR2 = graph.FormatBCSR2
-	// FormatBCSR3 is the shard-major binary CSR v3 format (SaveGraphV3's
-	// output): per-shard sections behind a persisted partition assignment,
-	// openable for bounded-residency out-of-core coloring.
+	// FormatBCSR3 is the shard-major binary CSR v3 format, the only one
+	// SaveGraph and SaveGraphV3 write: per-shard sections behind a
+	// persisted partition assignment. A one-shard file opens zero-copy; a
+	// multi-shard one also opens for bounded-residency out-of-core
+	// coloring.
 	FormatBCSR3 = graph.FormatBCSR3
 	// FormatDIMACS is a DIMACS coloring instance (".col"), recognized by
 	// extension rather than content.
 	FormatDIMACS = "dimacs"
 )
 
-// LoadGraph reads a graph from disk: SNAP-style edge lists (any text
-// extension), DIMACS coloring instances (".col") or the binary CSR
-// formats produced by SaveGraph and SaveGraphV2 (".bcsr", v1 or v2 —
-// the version is sniffed from the header). LoadGraph always copies into
-// private memory; use OpenGraphFile to map a v2 file zero-copy.
+// LoadGraph reads a graph from disk into private memory: SNAP-style
+// edge lists, DIMACS coloring instances (".col") or any BCSR binary
+// (v1, v2 or v3), sniffed as OpenGraphFile sniffs them. A mapped
+// one-shard v3 graph is copied out before the mapping is released; use
+// OpenGraphFile to keep it mapped instead.
 func LoadGraph(path string) (*Graph, error) {
-	switch {
-	case strings.HasSuffix(path, ".bcsr"):
-		format, err := graph.SniffFormat(path)
-		if err != nil {
-			return nil, err
-		}
-		switch format {
-		case FormatBCSR2:
-			return graph.LoadBinaryV2File(path)
-		case FormatBCSR3:
-			g, _, err := graph.LoadBinaryV3File(path)
-			return g, err
-		}
-		return graph.LoadBinaryFile(path)
-	case strings.HasSuffix(path, ".col"):
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return graph.ReadDIMACS(f)
-	default:
-		return graph.LoadEdgeListFile(path)
+	h, _, err := openGraphFile(path)
+	if err != nil {
+		return nil, err
 	}
+	defer h.Close()
+	if h.m != nil {
+		return h.m.Graph().Clone(), nil
+	}
+	return h.g, nil
 }
 
-// SaveGraph writes the graph in binary CSR format (v1).
+// SaveGraph writes the graph as a one-shard BCSR v3 file, which
+// OpenGraphFile maps zero-copy. Like SaveGraphV3 it is atomic: the file
+// appears complete or not at all.
 func SaveGraph(path string, g *Graph) error {
-	return graph.SaveBinaryFile(path, g)
-}
-
-// SaveGraphV2 writes the graph in the mmap-ready binary CSR v2 format.
-// Both writers are atomic: the file appears complete or not at all.
-func SaveGraphV2(path string, g *Graph) error {
-	return graph.SaveBinaryV2File(path, g)
+	return graph.SaveCSRFile(path, g)
 }
 
 // SaveGraphV3 writes the graph in the shard-major binary CSR v3 format:
@@ -123,7 +106,7 @@ func SaveGraphV2(path string, g *Graph) error {
 // strategy (PartitionRanges or PartitionLabelProp; "" defaults to
 // ranges), and persists the assignment alongside per-shard sections so
 // a later open — in core or out of core — skips partitioning entirely
-// (the content-hash partition cache). Atomic like the other writers.
+// (the content-hash partition cache). The write is atomic.
 func SaveGraphV3(path string, g *Graph, shards int, strategy string) error {
 	a, err := coloring.BuildPartition(g, shards, strategy)
 	if err != nil {
@@ -137,10 +120,11 @@ func SaveGraphV3(path string, g *Graph, shards int, strategy string) error {
 }
 
 // GraphHandle is an opened on-disk graph together with whatever backs
-// it. For a mapped BCSR v2 file the CSR sections alias the page cache
-// and Close unmaps them — the Graph must not be used after Close (the
-// handle panics on Graph() to make that bug loud). For every other
-// format Close is a no-op and the Graph is ordinary heap memory.
+// it. For a one-shard BCSR v3 file the CSR sections alias the mapped
+// file and Close unmaps them — the Graph must not be used after Close
+// (the handle panics on Graph() to make that bug loud). A multi-shard
+// v3 file keeps its shard file open until Close; for every other format
+// Close is a no-op and the Graph is ordinary heap memory.
 type GraphHandle struct {
 	g      *Graph
 	m      *graph.MappedCSR
@@ -162,11 +146,12 @@ func (h *GraphHandle) Graph() *Graph {
 }
 
 // Format reports the sniffed on-disk format (FormatEdgeList,
-// FormatBCSR1, FormatBCSR2 or FormatDIMACS).
+// FormatBCSR1, FormatBCSR2, FormatBCSR3 or FormatDIMACS).
 func (h *GraphHandle) Format() string { return h.format }
 
 // Mapped reports whether the graph's payload aliases an mmap'd region
-// (true only for BCSR v2 files on platforms where mapping succeeded).
+// (true only for one-shard BCSR v3 files on platforms where mapping
+// succeeded).
 func (h *GraphHandle) Mapped() bool { return h.m != nil && h.m.Mapped() }
 
 // OutOfCore reports whether the handle streams from a BCSR v3 file
@@ -202,7 +187,10 @@ type ShardMapStats = graph.ShardMapStats
 
 // ShardStats snapshots the handle's shard-mapping counters (zero for
 // non-v3 formats) — the residency telemetry behind the out-of-core
-// invariant.
+// invariant. An open one-shard handle holds its in-core mapping in
+// them: Maps 1, Unmaps 0, and ResidentBytes equal to the shard's
+// section bytes, plus whatever an out-of-core run on the handle has
+// mapped. After Close, Maps equals Unmaps and ResidentBytes is 0.
 func (h *GraphHandle) ShardStats() ShardMapStats {
 	if h.sf == nil {
 		return ShardMapStats{}
@@ -230,19 +218,20 @@ func (h *GraphHandle) Close() error {
 }
 
 // OpenGraphFile opens a graph for reading, sniffing the on-disk format
-// from content: BCSR v2 files are mmap'd and used zero-copy (falling
-// back to a private copy on foreign byte order, misalignment or
-// platforms without mmap), BCSR v1 and edge lists go through the
-// copying readers, and ".col" files parse as DIMACS. Close the handle
-// when done with the graph.
+// from content: a one-shard BCSR v3 file is mmap'd and used zero-copy
+// (read into a private copy on platforms without mmap), a multi-shard
+// v3 file is reassembled in core with its persisted partition kept for
+// EngineSharded, BCSR v1/v2 and edge lists go through the copying
+// readers, and ".col" files parse as DIMACS. Close the handle when done
+// with the graph.
 func OpenGraphFile(path string) (*GraphHandle, error) {
 	return OpenGraphFileContext(context.Background(), path)
 }
 
 // OpenGraphFileContext is OpenGraphFile under a context: an Observer
 // attached via WithObserver records a "graph/load" span and the
-// bitcolor_graph_load_* metric families (mapped v2 loads are labeled
-// "bcsr-v2-mapped" to separate them from copied ones).
+// bitcolor_graph_load_* metric families (mapped v3 loads are labeled
+// "bcsr-v3-mapped" to separate them from copied ones).
 func OpenGraphFileContext(ctx context.Context, path string) (*GraphHandle, error) {
 	o := obs.FromContext(ctx)
 	sp := o.StartSpan("graph/load").Attr("path", path)
@@ -293,26 +282,32 @@ func openGraphFile(path string) (*GraphHandle, string, error) {
 		return nil, "unknown", err
 	}
 	switch format {
-	case FormatBCSR2:
-		m, err := graph.MapBinaryFile(path)
-		if err != nil {
-			return nil, format, err
-		}
-		return &GraphHandle{m: m, format: format}, format, nil
 	case FormatBCSR3:
-		// Eager path: materialize the CSR (full re-verification through
-		// the copying reader) and keep the shard handle alongside it, so
-		// EngineSharded runs reuse the persisted partition.
+		// One shard is the whole CSR, mapped in place; more shards are
+		// reassembled through the copying reader. Either way the shard
+		// file stays open, so EngineSharded runs reuse the persisted
+		// partition.
 		sf, err := graph.OpenShardedFile(path)
 		if err != nil {
 			return nil, format, err
 		}
-		g, err := sf.Materialize()
+		h := &GraphHandle{sf: sf, format: format}
+		if sf.Shards() == 1 {
+			h.m, err = sf.MapCSR()
+		} else {
+			h.g, err = sf.Materialize()
+		}
 		if err != nil {
 			sf.Close()
 			return nil, format, err
 		}
-		return &GraphHandle{g: g, sf: sf, format: format}, format, nil
+		return h, format, nil
+	case FormatBCSR2:
+		g, err := graph.LoadBinaryV2File(path)
+		if err != nil {
+			return nil, format, err
+		}
+		return &GraphHandle{g: g, format: format}, format, nil
 	case FormatBCSR1:
 		g, err := graph.LoadBinaryFile(path)
 		if err != nil {
@@ -372,7 +367,7 @@ func openGraphFileOutOfCore(path string) (*GraphHandle, string, error) {
 		return nil, "unknown", err
 	}
 	if format != FormatBCSR3 {
-		return nil, format, fmt.Errorf("bitcolor: out-of-core open needs a BCSR v3 shard-major file (write one with SaveGraphV3 or `preprocess -obin-v3`); %s sniffed as %s", path, format)
+		return nil, format, fmt.Errorf("bitcolor: out-of-core open needs a BCSR v3 shard-major file (write one with SaveGraphV3 or `preprocess -shards K`); %s sniffed as %s", path, format)
 	}
 	sf, err := graph.OpenShardedFile(path)
 	if err != nil {
@@ -613,10 +608,6 @@ func AcquireScratch(e Engine, workers int, g *Graph) *Scratch {
 // internal/metrics).
 type RunStats = metrics.RunStats
 
-// ParallelStats is the former name of RunStats, kept for the original
-// host-parallel API surface.
-type ParallelStats = metrics.ParallelStats
-
 // GatherStats classifies the blocked color-gather's neighbor reads:
 // hot-tier hits under v_t, merged same-block reads, cold block loads
 // and PUV-pruned tail entries — the software mirror of the paper's
@@ -787,27 +778,6 @@ func cachedPartition(sf *graph.ShardedFile, opts *ColorOptions) (*partition.Assi
 func Color(g *Graph, opts ColorOptions) (*Result, error) {
 	res, _, err := ColorContext(context.Background(), g, opts)
 	return res, err
-}
-
-// ColorParallel runs one of the parallel engines (per the registry's
-// Parallel flag: EngineJonesPlassmann, EngineSpeculative,
-// EngineParallelBitwise or EngineDCT) and returns its run statistics
-// alongside the verified coloring. Sequential engines are rejected; use
-// Color or ColorContext for them.
-func ColorParallel(g *Graph, opts ColorOptions) (*Result, ParallelStats, error) {
-	return ColorParallelContext(context.Background(), g, opts)
-}
-
-// ColorParallelContext is ColorParallel under a context.
-func ColorParallelContext(ctx context.Context, g *Graph, opts ColorOptions) (*Result, ParallelStats, error) {
-	info, ok := coloring.LookupIndex(int(opts.Engine))
-	if !ok {
-		return nil, ParallelStats{}, fmt.Errorf("bitcolor: unknown engine %v", opts.Engine)
-	}
-	if !info.Parallel {
-		return nil, ParallelStats{}, fmt.Errorf("bitcolor: engine %v is not a host-parallel engine", opts.Engine)
-	}
-	return ColorContext(ctx, g, opts)
 }
 
 // Verify checks that colors is a proper coloring of g.

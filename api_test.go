@@ -1,6 +1,7 @@
 package bitcolor
 
 import (
+	"context"
 	"io"
 	"os"
 	"path/filepath"
@@ -288,7 +289,7 @@ func TestEngineParallelBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, _ := Preprocess(g)
-	res, st, err := ColorParallel(h, ColorOptions{Engine: EngineParallelBitwise, Workers: 4})
+	res, st, err := ColorContext(context.Background(), h, ColorOptions{Engine: EngineParallelBitwise, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +302,6 @@ func TestEngineParallelBitwise(t *testing.T) {
 	// Color must accept the engine too (stats dropped).
 	if _, err := Color(h, ColorOptions{Engine: EngineParallelBitwise, Workers: 4}); err != nil {
 		t.Fatal(err)
-	}
-	// ColorParallel rejects sequential engines.
-	if _, _, err := ColorParallel(h, ColorOptions{Engine: EngineBitwise}); err == nil {
-		t.Fatal("sequential engine accepted by ColorParallel")
 	}
 }
 

@@ -216,7 +216,7 @@ func BenchmarkParallelBitwise(b *testing.B) {
 				b.ReportAllocs()
 				var colors int
 				for i := 0; i < b.N; i++ {
-					res, _, err := ColorParallel(prepared, ColorOptions{
+					res, _, err := ColorContext(context.Background(), prepared, ColorOptions{
 						Engine: EngineParallelBitwise, Workers: w,
 					})
 					if err != nil {
@@ -280,7 +280,7 @@ func BenchmarkParallelBitwiseNoGather(b *testing.B) {
 			b.ReportAllocs()
 			var colors int
 			for i := 0; i < b.N; i++ {
-				res, _, err := ColorParallel(prepared, ColorOptions{
+				res, _, err := ColorContext(context.Background(), prepared, ColorOptions{
 					Engine: EngineParallelBitwise, Workers: 1, DisableGather: true,
 				})
 				if err != nil {

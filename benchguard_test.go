@@ -142,7 +142,7 @@ func TestBenchGuardParallelBitwiseRegression(t *testing.T) {
 		}
 	})
 	parallel := minTime(9, func() {
-		if _, _, err := ColorParallel(prepared, ColorOptions{
+		if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
 			Engine: EngineParallelBitwise, Workers: 1,
 		}); err != nil {
 			t.Fatal(err)
@@ -171,7 +171,7 @@ func TestBenchGuardDCTRegression(t *testing.T) {
 		}
 	})
 	dct := minTime(9, func() {
-		if _, _, err := ColorParallel(prepared, ColorOptions{
+		if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
 			Engine: EngineDCT, Workers: 1,
 		}); err != nil {
 			t.Fatal(err)
@@ -200,13 +200,13 @@ func TestBenchGuardShardedRegression(t *testing.T) {
 	base := loadBaseline(t)
 
 	dct, sharded := minTimePair(9, func() {
-		if _, _, err := ColorParallel(prepared, ColorOptions{
+		if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
 			Engine: EngineDCT, Workers: 1,
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}, func() {
-		if _, _, err := ColorParallel(prepared, ColorOptions{
+		if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
 			Engine: EngineSharded, ShardCount: 1, Workers: 1,
 		}); err != nil {
 			t.Fatal(err)
@@ -312,9 +312,9 @@ func TestBenchGuardExecDispatchOverhead(t *testing.T) {
 }
 
 // TestBenchGuardE2ELoadRatio pins the zero-copy load path: opening a
-// mapped BCSR v2 file and coloring it (dct, one worker) may cost at
-// most 10% more, relative to a warm color on the resident graph, than
-// the recorded baseline ratio. The same-process normalization cancels
+// mapped one-shard BCSR v3 file and coloring it (dct, one worker) may
+// cost at most 10% more, relative to a warm color on the resident
+// graph, than the recorded baseline ratio. The same-process normalization cancels
 // machine speed, exactly like the engine-ratio guards.
 func TestBenchGuardE2ELoadRatio(t *testing.T) {
 	if os.Getenv(benchGuardEnv) == "" {
@@ -323,7 +323,7 @@ func TestBenchGuardE2ELoadRatio(t *testing.T) {
 	prepared := guardGraph(t, "GD")
 	base := loadBaseline(t)
 	path := filepath.Join(t.TempDir(), "gd.bcsr")
-	if err := SaveGraphV2(path, prepared); err != nil {
+	if err := SaveGraph(path, prepared); err != nil {
 		t.Fatal(err)
 	}
 	// The guard measures the mapped path; a fallback to the copying
@@ -339,7 +339,7 @@ func TestBenchGuardE2ELoadRatio(t *testing.T) {
 	h.Close()
 
 	color := func(g *Graph) {
-		if _, _, err := ColorParallel(g, ColorOptions{Engine: EngineDCT, Workers: 1}); err != nil {
+		if _, _, err := ColorContext(context.Background(), g, ColorOptions{Engine: EngineDCT, Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -393,7 +393,7 @@ func TestBenchGuardOutOfCoreOverhead(t *testing.T) {
 	for attempt := 1; ; attempt++ {
 		runtime.GC()
 		incore, streamed := minTimePair(9, func() {
-			if _, _, err := ColorParallel(prepared, ColorOptions{
+			if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
 				Engine: EngineSharded, ShardCount: 4, Workers: 1,
 			}); err != nil {
 				t.Fatal(err)
@@ -441,7 +441,7 @@ func TestBenchGuardObserverOverhead(t *testing.T) {
 	for attempt := 1; ; attempt++ {
 		runtime.GC()
 		nilObs, withObs := minTimePair(9, func() {
-			if _, _, err := ColorParallel(prepared, ColorOptions{
+			if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
 				Engine: EngineParallelBitwise, Workers: 1,
 			}); err != nil {
 				t.Fatal(err)
@@ -494,14 +494,14 @@ func TestBenchGuardIntrospectionOverhead(t *testing.T) {
 	ctx := WithObserver(context.Background(), o)
 
 	nilRun := func() {
-		if _, _, err := ColorParallel(prepared, ColorOptions{
+		if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
 			Engine: EngineParallelBitwise, Workers: 1,
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pooledRun := func() {
-		if _, _, err := ColorParallel(prepared, ColorOptions{
+		if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
 			Engine: EngineParallelBitwise, Workers: 1, Pool: pool,
 		}); err != nil {
 			t.Fatal(err)

@@ -93,7 +93,7 @@ func (c runConfig) watchdogOn() bool { return c.wdDeadlineFrac > 0 || c.wdStall 
 func main() {
 	var cfg runConfig
 	engineUsage := "engine: " + strings.Join(bitcolor.EngineNames(), " | ") + " | accelerator"
-	flag.StringVar(&cfg.input, "input", "", "graph file (SNAP edge list, .col, or .bcsr binary v1/v2 — v2 files are mmap'd zero-copy)")
+	flag.StringVar(&cfg.input, "input", "", "graph file (SNAP edge list, .col, or .bcsr binary v1/v2/v3 — one-shard v3 files are mmap'd zero-copy)")
 	flag.StringVar(&cfg.dataset, "dataset", "", "synthetic dataset abbreviation (EF, GD, CD, CA, CL, RC, RP, RT, CO, CF)")
 	flag.StringVar(&cfg.engine, "engine", "bitwise", engineUsage)
 	flag.IntVar(&cfg.parallelism, "parallelism", 16, "BWPE count for the accelerator engine (power of two)")
@@ -183,8 +183,8 @@ func run(ctx context.Context, cfg runConfig) error {
 		return fmt.Errorf("give either -input or -dataset, not both")
 	case cfg.input != "":
 		// The handle stays open for the whole run: with -no-preprocess a
-		// mapped BCSR v2 input is colored straight out of the page cache,
-		// zero-copy.
+		// mapped one-shard BCSR v3 input is colored straight out of the
+		// page cache, zero-copy.
 		h, herr := bitcolor.OpenGraphFileContext(ctx, cfg.input)
 		if herr != nil {
 			return herr
@@ -273,7 +273,7 @@ func run(ctx context.Context, cfg runConfig) error {
 // apply.
 func runOutOfCore(ctx context.Context, cfg runConfig) error {
 	if cfg.input == "" {
-		return fmt.Errorf("-outofcore needs -input FILE (a BCSR v3 file from `preprocess -obin-v3`)")
+		return fmt.Errorf("-outofcore needs -input FILE (a BCSR v3 file from `preprocess -shards K`)")
 	}
 	if cfg.dataset != "" {
 		return fmt.Errorf("-outofcore streams from disk; give -input, not -dataset")

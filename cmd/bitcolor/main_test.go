@@ -74,20 +74,18 @@ func TestRunFromFile(t *testing.T) {
 	if err := run(context.Background(), c); err != nil {
 		t.Fatal(err)
 	}
+	// SaveGraph writes one-shard v3, the zero-copy load path: with
+	// preprocessing disabled the engine reads the mapped file directly.
+	c = cfg(func(c *runConfig) { c.input = path; c.engine = "dct"; c.noPrep = true; c.verbose = true })
+	if err := run(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestRunFromV2File colors straight off a mapped BCSR v2 input — the
-// zero-copy load path — including with preprocessing disabled, where
-// the engine reads the page cache directly.
+// TestRunFromV2File colors a BCSR v2 file from the retired writer,
+// which now loads by copying, with and without preprocessing.
 func TestRunFromV2File(t *testing.T) {
-	g, err := bitcolor.Generate("EF", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "g.bcsr")
-	if err := bitcolor.SaveGraphV2(path, g); err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join("..", "..", "internal", "graph", "testdata", "legacy-v2.bcsr")
 	c := cfg(func(c *runConfig) { c.input = path; c.verbose = true })
 	if err := run(context.Background(), c); err != nil {
 		t.Fatal(err)

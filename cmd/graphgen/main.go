@@ -1,5 +1,5 @@
 // Command graphgen emits the synthetic stand-in datasets (or custom
-// generator output) as SNAP edge lists or binary CSR files.
+// generator output) as SNAP edge lists or one-shard BCSR v3 files.
 //
 // Usage:
 //
@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		dataset    = flag.String("dataset", "", "dataset abbreviation, or 'all'")
-		out        = flag.String("out", "", "output file (.bcsr binary, anything else edge list)")
+		out        = flag.String("out", "", "output file (.bcsr: one-shard BCSR v3, anything else edge list)")
 		dir        = flag.String("dir", ".", "output directory for -dataset all")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		rmat       = flag.Int("rmat", 0, "generate an RMAT graph of this scale instead of a named dataset")
@@ -93,7 +93,7 @@ func run(dataset, out, dir string, seed int64, rmat, edgeFactor int) error {
 
 func write(path string, g *graph.CSR) error {
 	if strings.HasSuffix(path, ".bcsr") {
-		return graph.SaveBinaryFile(path, g)
+		return bitcolor.SaveGraph(path, g)
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -7,18 +7,16 @@
 // Usage:
 //
 //	preprocess -input graph.txt -out graph-dbg.bcsr
-//	preprocess -input graph.txt -out graph-dbg.bcsr -obin-v2
-//	preprocess -input old.bcsr -convert -obin-v2 -out new.bcsr
-//	preprocess -input graph.txt -out graph-dbg.bcsr -obin-v3 -shards 8
-//	preprocess -input old.bcsr -convert -obin-v3 -shards 4 -out new.bcsr
+//	preprocess -input graph.txt -out graph-dbg.bcsr -shards 8
+//	preprocess -input old.bcsr -convert -out new.bcsr
 //	preprocess -dataset CO -time
 //
-// -obin-v2 writes -out in the mmap-ready BCSR v2 format instead of v1;
-// -obin-v3 writes the shard-major BCSR v3 format, partitioning into
-// -shards parts with the -partition strategy and persisting the
-// assignment for the out-of-core engine's partition cache. -convert
-// skips the preprocessing entirely and just rewrites the input graph,
-// which together give v1 → v2 → v3 format conversions.
+// -out is always written in the shard-major BCSR v3 format, partitioned
+// into -shards parts (default 1) with the -partition strategy and the
+// assignment persisted for EngineSharded's partition cache. A one-shard
+// file is what OpenGraphFile maps zero-copy; a multi-shard ranges file
+// streams out of core. -convert skips the preprocessing and rewrites the
+// input graph as it is — how an older v1 or v2 file becomes v3.
 package main
 
 import (
@@ -41,10 +39,8 @@ func main() {
 		input      = flag.String("input", "", "graph file (edge list, .col or .bcsr)")
 		dataset    = flag.String("dataset", "", "synthetic dataset abbreviation")
 		out        = flag.String("out", "", "write the reordered graph here (.bcsr)")
-		outV2      = flag.Bool("obin-v2", false, "write -out in the mmap-ready BCSR v2 format (default: v1)")
-		outV3      = flag.Bool("obin-v3", false, "write -out in the shard-major BCSR v3 format (persisted partition for out-of-core coloring)")
-		shards     = flag.Int("shards", 4, "partition count persisted by -obin-v3")
-		strategy   = flag.String("partition", bitcolor.PartitionRanges, "partition strategy persisted by -obin-v3: ranges|labelprop")
+		shards     = flag.Int("shards", 1, "partition count persisted in -out (1: the zero-copy in-core layout)")
+		strategy   = flag.String("partition", bitcolor.PartitionRanges, "partition strategy persisted in -out: ranges|labelprop")
 		convert    = flag.Bool("convert", false, "skip preprocessing and write the input graph to -out unchanged (format conversion)")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		showTime   = flag.Bool("time", false, "report reordering vs coloring wall time (Table 2)")
@@ -57,7 +53,7 @@ func main() {
 		os.Exit(1)
 	}
 	err = run(*input, *dataset, *out, *seed, *showTime,
-		saveConfig{v2: *outV2, v3: *outV3, shards: *shards, strategy: *strategy}, *convert)
+		saveConfig{shards: *shards, strategy: *strategy}, *convert)
 	if perr := stopProf(); perr != nil && err == nil {
 		err = perr
 	}
@@ -73,41 +69,21 @@ func isEdgeListPath(path string) bool {
 	return !strings.HasSuffix(path, ".bcsr") && !strings.HasSuffix(path, ".col")
 }
 
-// saveConfig selects the output binary format (v1 default; v3 carries
-// its partition parameters).
+// saveConfig is the partition shape -out persists.
 type saveConfig struct {
-	v2, v3   bool
 	shards   int
 	strategy string
 }
 
-// saveGraph writes g to path in the selected binary format and reports
-// what it wrote.
+// saveGraph writes g to path as BCSR v3 and reports what it wrote.
 func saveGraph(path string, g *bitcolor.Graph, cfg saveConfig) error {
-	switch {
-	case cfg.v3 && cfg.v2:
-		return fmt.Errorf("-obin-v2 and -obin-v3 are mutually exclusive")
-	case cfg.v3:
-		start := time.Now()
-		if err := bitcolor.SaveGraphV3(path, g, cfg.shards, cfg.strategy); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (bcsr v3, %d shards, %s partition, %v)\n",
-			path, cfg.shards, cfg.strategy, time.Since(start).Round(time.Microsecond))
-		return nil
-	case cfg.v2:
-		if err := graph.SaveBinaryV2File(path, g); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (bcsr v2)\n", path)
-		return nil
-	default:
-		if err := graph.SaveBinaryFile(path, g); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (bcsr v1)\n", path)
-		return nil
+	start := time.Now()
+	if err := bitcolor.SaveGraphV3(path, g, cfg.shards, cfg.strategy); err != nil {
+		return err
 	}
+	fmt.Printf("wrote %s (bcsr v3, %d shards, %s partition, %v)\n",
+		path, cfg.shards, cfg.strategy, time.Since(start).Round(time.Microsecond))
+	return nil
 }
 
 func run(input, dataset, out string, seed int64, showTime bool, save saveConfig, convert bool) error {
@@ -149,8 +125,8 @@ func run(input, dataset, out string, seed int64, showTime bool, save saveConfig,
 		return err
 	}
 
-	// Conversion mode: rewrite the loaded graph as-is (typically a v1
-	// .bcsr into the mmap-ready v2 layout) and stop.
+	// Conversion mode: rewrite the loaded graph as-is (typically an
+	// older .bcsr into v3) and stop.
 	if convert {
 		if out == "" {
 			return fmt.Errorf("-convert needs -out FILE")

@@ -4,6 +4,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -114,20 +116,26 @@ func TestRunFromEdgeListText(t *testing.T) {
 	}
 }
 
-// TestRunWritesV2Output checks -obin-v2 produces a BCSR v2 file that
-// loads back (via the sniffing loader) with the DBG invariant intact.
-func TestRunWritesV2Output(t *testing.T) {
+// TestRunWritesV3Output checks -out is a one-shard BCSR v3 file by
+// default, which OpenGraphFile maps zero-copy, with the DBG invariant
+// intact.
+func TestRunWritesV3Output(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "dbg.bcsr")
-	if err := run("", "EF", out, 1, false, saveConfig{v2: true}, false); err != nil {
+	if err := run("", "EF", out, 1, false, saveConfig{}, false); err != nil {
 		t.Fatal(err)
 	}
-	if format, err := graph.SniffFormat(out); err != nil || format != graph.FormatBCSR2 {
-		t.Fatalf("sniff: %v %v, want %s", format, err, graph.FormatBCSR2)
-	}
-	g, err := bitcolor.LoadGraph(out)
+	h, err := bitcolor.OpenGraphFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer h.Close()
+	if h.Format() != bitcolor.FormatBCSR3 || h.NumShards() != 1 {
+		t.Fatalf("wrote %s with %d shards, want one-shard %s", h.Format(), h.NumShards(), bitcolor.FormatBCSR3)
+	}
+	if runtime.GOOS == "linux" && !h.Mapped() {
+		t.Error("one-shard output not mapped")
+	}
+	g := h.Graph()
 	for v := 1; v < g.NumVertices(); v++ {
 		if g.Degree(bitcolor.VertexID(v)) > g.Degree(bitcolor.VertexID(v-1)) {
 			t.Fatal("output not degree-descending")
@@ -135,43 +143,57 @@ func TestRunWritesV2Output(t *testing.T) {
 	}
 }
 
-// TestRunConvertV1ToV2 drives the pure conversion path: a v1 .bcsr in,
-// an identical graph out in v2 layout, no reordering applied.
-func TestRunConvertV1ToV2(t *testing.T) {
-	g, err := bitcolor.Generate("EF", 5)
+// legacyFixture names a file the retired binary writers left in the
+// graph package's testdata (legacy.txt is their source graph).
+func legacyFixture(name string) string {
+	return filepath.Join("..", "..", "internal", "graph", "testdata", name)
+}
+
+// TestRunConvertLegacyFixtures drives the pure conversion path on files
+// from the retired v1 and v2 writers and an old four-shard v3 file: each
+// comes out as a one-shard v3 file holding its source graph unchanged,
+// with no boundary blocks, and colors like it.
+func TestRunConvertLegacyFixtures(t *testing.T) {
+	src, err := bitcolor.LoadGraph(legacyFixture("legacy.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.bcsr")
-	if err := bitcolor.SaveGraph(in, g); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "out.bcsr")
-	if err := run(in, "", out, 1, false, saveConfig{v2: true}, true); err != nil {
-		t.Fatal(err)
-	}
-	got, err := bitcolor.LoadGraph(out)
+	want, err := bitcolor.Color(src, bitcolor.ColorOptions{Engine: bitcolor.EngineGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() {
-		t.Fatalf("conversion changed the graph: %d/%d vs %d/%d",
-			got.NumVertices(), got.NumEdges(), g.NumVertices(), g.NumEdges())
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		a, b := g.Neighbors(bitcolor.VertexID(v)), got.Neighbors(bitcolor.VertexID(v))
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d: degree %d vs %d", v, len(a), len(b))
+	for _, name := range []string{"legacy-v1.bcsr", "legacy-v2.bcsr", "legacy-v3-4shard.bcsr"} {
+		out := filepath.Join(t.TempDir(), "out.bcsr")
+		if err := run(legacyFixture(name), "", out, 1, false, saveConfig{}, true); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d: adjacency differs", v)
-			}
+		sf, err := graph.OpenShardedFile(out)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if sf.Shards() != 1 {
+			t.Fatalf("%s: converted to %d shards, want 1", name, sf.Shards())
+		}
+		sf.Close()
+		h, err := bitcolor.OpenGraphFile(out)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := h.Graph()
+		if !slices.Equal(got.Offsets, src.Offsets) || !slices.Equal(got.Edges, src.Edges) {
+			t.Fatalf("%s: conversion changed the graph", name)
+		}
+		res, err := bitcolor.Color(got, bitcolor.ColorOptions{Engine: bitcolor.EngineDCT, Workers: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !slices.Equal(res.Colors, want.Colors) {
+			t.Fatalf("%s: converted graph colors differ from its source's", name)
+		}
+		h.Close()
 	}
 	// -convert without -out must refuse rather than silently discard.
-	if err := run(in, "", "", 1, false, saveConfig{v2: true}, true); err == nil {
+	if err := run(legacyFixture("legacy-v1.bcsr"), "", "", 1, false, saveConfig{}, true); err == nil {
 		t.Fatal("-convert without -out accepted")
 	}
 }
@@ -180,17 +202,13 @@ func TestRunConvertV1ToV2(t *testing.T) {
 // shard-major v3 file out carrying the requested partition shape, same
 // graph back through the sniffing loader.
 func TestRunConvertV1ToV3(t *testing.T) {
-	g, err := bitcolor.Generate("EF", 6)
+	g, err := bitcolor.LoadGraph(legacyFixture("legacy.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	in := filepath.Join(dir, "in.bcsr")
-	if err := bitcolor.SaveGraph(in, g); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "out.bcsr")
-	cfg := saveConfig{v3: true, shards: 2, strategy: bitcolor.PartitionLabelProp}
+	in := legacyFixture("legacy-v1.bcsr")
+	out := filepath.Join(t.TempDir(), "out.bcsr")
+	cfg := saveConfig{shards: 2, strategy: bitcolor.PartitionLabelProp}
 	if err := run(in, "", out, 1, false, cfg, true); err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +223,8 @@ func TestRunConvertV1ToV3(t *testing.T) {
 	if h.NumShards() != 2 || h.PartitionStrategy() != bitcolor.PartitionLabelProp {
 		t.Fatalf("shards=%d strategy=%q", h.NumShards(), h.PartitionStrategy())
 	}
-	if got := h.Graph(); got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() {
-		t.Fatalf("conversion changed the graph: %d/%d vs %d/%d",
-			got.NumVertices(), got.NumEdges(), g.NumVertices(), g.NumEdges())
-	}
-	// The two -obin flags are mutually exclusive.
-	if err := run(in, "", out, 1, false, saveConfig{v2: true, v3: true}, true); err == nil {
-		t.Fatal("-obin-v2 with -obin-v3 accepted")
+	if got := h.Graph(); !slices.Equal(got.Offsets, g.Offsets) || !slices.Equal(got.Edges, g.Edges) {
+		t.Fatal("conversion changed the graph")
 	}
 }
 

@@ -32,7 +32,7 @@ import (
 // ConflictsFound == ConflictsRepaired == 0) and a coloring byte-identical
 // to sequential greedy in index order — for every worker count, which the
 // speculative engines cannot offer.
-func DCTColor(ctx context.Context, g *graph.CSR, maxColors int, workers int) (*Result, metrics.ParallelStats, error) {
+func DCTColor(ctx context.Context, g *graph.CSR, maxColors int, workers int) (*Result, metrics.RunStats, error) {
 	return DCTOpts(ctx, g, maxColors, Options{MaxColors: maxColors, Workers: workers})
 }
 
@@ -59,9 +59,9 @@ const ForwardRingCap = 64
 // peer spins forever on a color that will never be published. On
 // cancellation the call returns ctx.Err() and no result; all mutable
 // state is private to the call.
-func DCTOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*Result, metrics.ParallelStats, error) {
+func DCTOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*Result, metrics.RunStats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, metrics.ParallelStats{}, err
+		return nil, metrics.RunStats{}, err
 	}
 	workers := resolveWorkers(opts.Workers, g.NumVertices())
 	sc := opts.Scratch
@@ -76,7 +76,7 @@ func DCTOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*R
 // engine or is nil. Split out so the sharded engine's degenerate
 // one-shard path can reuse the whole machinery under its own Scratch
 // key without re-checking it against "dct".
-func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *Scratch, workers int) (*Result, metrics.ParallelStats, error) {
+func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *Scratch, workers int) (*Result, metrics.RunStats, error) {
 	n := g.NumVertices()
 	if workers == 1 && n > 0 {
 		// One worker owns every vertex and colors in ascending index
@@ -91,7 +91,7 @@ func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *
 	// Arm the shards' live mirrors for mid-run /debug/runs progress; the
 	// OwnerLoop refreshes them at its 64-vertex poll checkpoint.
 	opts.Run.AttachShards(ss)
-	st := metrics.ParallelStats{Workers: workers}
+	st := metrics.RunStats{Workers: workers}
 	useGather, gatherAuto := gatherDecision(g, opts)
 	rings := make([]*dispatch.ForwardRing, workers)
 	foldStats := func() {
@@ -249,11 +249,11 @@ func dctAttempt(s *workerScratch, shared []uint32, v graph.VertexID, adj []graph
 // span) with no goroutines, rings or escaping closures. On a
 // fitting Scratch the entire run — including the returned Result — is
 // allocation-free in steady state.
-func dctSequential(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *Scratch) (*Result, metrics.ParallelStats, error) {
+func dctSequential(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *Scratch) (*Result, metrics.RunStats, error) {
 	n := g.NumVertices()
 	ss := sc.shardSet(1)
 	opts.Run.AttachShards(ss)
-	st := metrics.ParallelStats{Workers: 1}
+	st := metrics.RunStats{Workers: 1}
 	useGather, gatherAuto := gatherDecision(g, opts)
 	shared := sc.sharedBuf(n)
 	sorted := g.EdgesSorted()

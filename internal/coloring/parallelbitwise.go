@@ -46,7 +46,7 @@ import (
 // allocated once up front and reused across sweeps.
 //
 // Returns the verified-proper result and per-run parallel statistics.
-func ParallelBitwise(ctx context.Context, g *graph.CSR, maxColors int, workers int) (*Result, metrics.ParallelStats, error) {
+func ParallelBitwise(ctx context.Context, g *graph.CSR, maxColors int, workers int) (*Result, metrics.RunStats, error) {
 	return ParallelBitwiseOpts(ctx, g, maxColors, Options{MaxColors: maxColors, Workers: workers})
 }
 
@@ -64,9 +64,9 @@ func ParallelBitwise(ctx context.Context, g *graph.CSR, maxColors int, workers i
 // sweep boundaries; on cancellation the call returns ctx.Err() and no
 // result. All mutable state is private to the call, so an abandoned run
 // poisons nothing.
-func ParallelBitwiseOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*Result, metrics.ParallelStats, error) {
+func ParallelBitwiseOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*Result, metrics.RunStats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, metrics.ParallelStats{}, err
+		return nil, metrics.RunStats{}, err
 	}
 	n := g.NumVertices()
 	workers := opts.Workers
@@ -86,7 +86,7 @@ func ParallelBitwiseOpts(ctx context.Context, g *graph.CSR, maxColors int, opts 
 	// /debug/runs can read mid-run progress (nil-safe no-op otherwise).
 	ss := sc.shardSet(workers)
 	opts.Run.AttachShards(ss)
-	st := metrics.ParallelStats{Workers: workers}
+	st := metrics.RunStats{Workers: workers}
 	useGather, gatherAuto := gatherDecision(g, opts)
 	foldStats := func() {
 		st.VerticesPerWorker = ss.PerWorkerInto(obs.CtrVertices, sc.perWorkerBuf(0, workers))

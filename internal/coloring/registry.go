@@ -13,7 +13,7 @@ import (
 
 // This file is the engine registry: the single point where every software
 // coloring algorithm is adapted onto one uniform contract. The public API
-// (bitcolor.Color/ColorParallel/Pipeline), the CLIs and the experiment
+// (bitcolor.Color/ColorContext/Pipeline), the CLIs and the experiment
 // harness all dispatch through Lookup instead of maintaining their own
 // per-engine switches, so adding an engine means writing it and
 // registering it here — nothing else in the tree changes.

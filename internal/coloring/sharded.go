@@ -3,6 +3,7 @@ package coloring
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -101,9 +102,9 @@ func shardedPartition(g *graph.CSR, shards int, strategy string, sc *Scratch) (*
 // ShardFile it streams the file's range shards instead (shardedStream)
 // and ignores g, which may be nil. Cancellation, palette exhaustion and
 // scratch reuse follow the DCT engine's contract.
-func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*Result, metrics.ParallelStats, error) {
+func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*Result, metrics.RunStats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, metrics.ParallelStats{}, err
+		return nil, metrics.RunStats{}, err
 	}
 	if opts.streamed() {
 		return shardedStream(ctx, maxColors, opts)
@@ -146,12 +147,18 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		var err error
 		a, err = shardedPartition(g, shards, opts.PartitionStrategy, sc)
 		if err != nil {
-			return nil, metrics.ParallelStats{}, err
+			return nil, metrics.RunStats{}, err
 		}
 	}
 	parts := a.Parts
 	cl := partition.Classify(g, a)
-	lists := a.VertexLists(sc.orderBuf(n))
+	// Range shards (a nondecreasing parts vector) are ID ranges, walked
+	// by RunRange; any other partition needs its ascending vertex lists.
+	ranged := slices.IsSorted(parts)
+	var lists [][]graph.VertexID
+	if !ranged {
+		lists = a.VertexLists(sc.orderBuf(n))
+	}
 
 	flat := shards * workers // interior goroutines, one counter shard each
 	ss := sc.shardSet(flat)
@@ -159,7 +166,7 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 	// them at their poll checkpoints, so /debug/runs sees per-lane
 	// progress across all shards × workers (nil-safe no-op otherwise).
 	opts.Run.AttachShards(ss)
-	st := metrics.ParallelStats{
+	st := metrics.RunStats{
 		Workers:          workers,
 		Shards:           shards,
 		BoundaryVertices: cl.Boundary,
@@ -266,7 +273,7 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 	}
 
 	// Interior phase: shards × workers goroutines; goroutine (s, w) owns
-	// positions w, w+P, … of shard s's ascending vertex list — the DCT
+	// positions w, w+P, … of shard s's ascending vertices — the DCT
 	// owner-computes schedule applied per shard. The per-goroutine phase
 	// timings land in a pooled buffer (fresh only without a Scratch).
 	phaseStart := time.Now()
@@ -295,7 +302,13 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 			Clock:     clock,
 			OnForward: onForward,
 		}
-		s.err = loop.RunList(lists[shard], w, workers)
+		if ranged {
+			lo, _ := slices.BinarySearch(parts, pv)
+			hi, _ := slices.BinarySearch(parts, pv+1)
+			s.err = loop.RunRange(lo+w, workers, hi)
+		} else {
+			s.err = loop.RunList(lists[shard], w, workers)
+		}
 	})
 
 	foldStats := func() {
@@ -327,8 +340,13 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 
 	// The barrier: every vertex is now colored or marked. Collect the
 	// frontier in ascending index order — membership is structural, so
-	// this list (and its size) is identical across timings.
-	frontier := sc.pendingBuf(n)[:0]
+	// this list (and its size) is identical across timings. Without a
+	// Scratch the list grows by appending rather than reserving n
+	// entries for what is usually a small share of the graph.
+	var frontier []graph.VertexID
+	if sc != nil {
+		frontier = sc.pendingBuf(n)[:0]
+	}
 	for v := range shared {
 		if shared[v] == shardMark {
 			frontier = append(frontier, graph.VertexID(v))

@@ -60,15 +60,15 @@ func streamResidency(opts Options) int {
 // bounds concurrent mappings — the residency invariant — and in-order
 // claiming keeps every wait finite: the lowest unfinished shard is
 // always mapped, and its lowest unfinished vertex can always finish.
-func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, metrics.ParallelStats, error) {
+func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, metrics.RunStats, error) {
 	sf := opts.ShardFile
 	n := sf.NumVertices()
 	parts := sf.Parts()
 	if len(parts) != n {
-		return nil, metrics.ParallelStats{}, fmt.Errorf("coloring: v3 partition covers %d of %d vertices", len(parts), n)
+		return nil, metrics.RunStats{}, fmt.Errorf("coloring: v3 partition covers %d of %d vertices", len(parts), n)
 	}
 	if !slices.IsSorted(parts) {
-		return nil, metrics.ParallelStats{}, ErrUnorderedShards
+		return nil, metrics.RunStats{}, ErrUnorderedShards
 	}
 	workers := resolveWorkers(opts.Workers, n)
 	shards := sf.Shards()
@@ -84,7 +84,7 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 	flat := shards * workers
 	ss := sc.shardSet(flat)
 	opts.Run.AttachShards(ss)
-	st := metrics.ParallelStats{
+	st := metrics.RunStats{
 		Workers:          workers,
 		Shards:           shards,
 		BoundaryVertices: sf.Boundary(),
@@ -92,7 +92,6 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 		ResidentShards:   resident,
 	}
 	shared := sc.sharedBuf(n)
-	sorted := sf.EdgesSorted()
 	rings := sc.ringSet(ForwardRingCap)
 
 	esp := opts.Span
@@ -151,6 +150,9 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 				abort.Store(true)
 				return
 			}
+			// The break at u > v needs ascending lists, which MapShard
+			// counted from the shard's data (never the header's flag).
+			sorted := sm.Sorted()
 			shardStart := time.Now()
 			exec.Go(workers, func(w int) {
 				idx := shard*workers + w

@@ -37,7 +37,7 @@ func Speculative(ctx context.Context, g *graph.CSR, maxColors int, workers int) 
 
 // SpeculativeStats is Speculative returning the full parallel-run
 // statistics (rounds, conflicts found/re-queued, vertices per worker).
-func SpeculativeStats(ctx context.Context, g *graph.CSR, maxColors int, workers int) (*Result, metrics.ParallelStats, error) {
+func SpeculativeStats(ctx context.Context, g *graph.CSR, maxColors int, workers int) (*Result, metrics.RunStats, error) {
 	return SpeculativeOpts(ctx, g, maxColors, Options{MaxColors: maxColors, Workers: workers})
 }
 
@@ -57,9 +57,9 @@ func SpeculativeStats(ctx context.Context, g *graph.CSR, maxColors int, workers 
 // off the per-edge hot path) and between rounds. On cancellation the
 // engine returns ctx.Err() with no result; all intermediate state is
 // private to the call, so nothing shared is poisoned.
-func SpeculativeOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*Result, metrics.ParallelStats, error) {
+func SpeculativeOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options) (*Result, metrics.RunStats, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, metrics.ParallelStats{}, err
+		return nil, metrics.RunStats{}, err
 	}
 	n := g.NumVertices()
 	workers := opts.Workers
@@ -79,7 +79,7 @@ func SpeculativeOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Opti
 	// /debug/runs can read mid-run progress (nil-safe no-op otherwise).
 	ss := sc.shardSet(workers)
 	opts.Run.AttachShards(ss)
-	st := metrics.ParallelStats{Workers: workers}
+	st := metrics.RunStats{Workers: workers}
 	useGather, gatherAuto := gatherDecision(g, opts)
 	foldStats := func() {
 		st.VerticesPerWorker = ss.PerWorkerInto(obs.CtrVertices, sc.perWorkerBuf(0, workers))

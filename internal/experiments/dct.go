@@ -17,7 +17,7 @@ type DCTRow struct {
 	// DCT is the owner-computes single-pass engine; Par the fused
 	// bit-wise speculative engine; Spec classic Gebremedhin–Manne.
 	DCTTime, ParTime, SpecTime    time.Duration
-	DCTStats, ParStats, SpecStats metrics.ParallelStats
+	DCTStats, ParStats, SpecStats metrics.RunStats
 	DCTColors, ParColors          int
 	SpecColors                    int
 	// Deterministic records whether the DCT coloring was byte-identical

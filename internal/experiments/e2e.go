@@ -18,9 +18,9 @@ import (
 // resident graph.
 type E2ERow struct {
 	Dataset string
-	// Format is the on-disk format label ("edgelist", "bcsr-v1",
-	// "bcsr-v2"); Mapped records whether the v2 load actually mapped
-	// (false on platforms or files that fell back to copying).
+	// Format is the on-disk format label ("edgelist" or "bcsr-v3", a
+	// one-shard file); Mapped records whether the v3 load actually
+	// mapped (false on platforms that fell back to copying).
 	Format string
 	Mapped bool
 	// Bytes is the on-disk file size.
@@ -39,8 +39,8 @@ type E2ERow struct {
 }
 
 // E2EResult is the end-to-end load-path comparison: text edge list vs
-// copying binary v1 vs mapped binary v2, per dataset, with geometric
-// means per format across datasets.
+// mapped one-shard BCSR v3, per dataset, with geometric means per
+// format across datasets.
 type E2EResult struct {
 	Rows []E2ERow
 	// GeoRatio maps format → geomean LoadRatio across datasets.
@@ -48,10 +48,10 @@ type E2EResult struct {
 }
 
 // e2eFormats lists the load-path arms in report order.
-var e2eFormats = []string{graph.FormatEdgeList, graph.FormatBCSR1, graph.FormatBCSR2}
+var e2eFormats = []string{graph.FormatEdgeList, graph.FormatBCSR3}
 
 // E2E measures the first-byte-to-coloring wall time per on-disk format.
-// Each dataset is materialized in all three formats in a temp directory,
+// Each dataset is materialized in both formats in a temp directory,
 // then loaded and colored once per format (dct at one worker, so the
 // color stage is deterministic and allocation-light); the warm
 // pure-color time on the resident graph anchors the ratio.
@@ -76,8 +76,7 @@ func E2E(ctx *Context) (*E2EResult, error) {
 		}
 		paths := map[string]string{
 			graph.FormatEdgeList: filepath.Join(dir, d.Abbrev+".txt"),
-			graph.FormatBCSR1:    filepath.Join(dir, d.Abbrev+".v1.bcsr"),
-			graph.FormatBCSR2:    filepath.Join(dir, d.Abbrev+".v2.bcsr"),
+			graph.FormatBCSR3:    filepath.Join(dir, d.Abbrev+".bcsr"),
 		}
 		f, err := os.Create(paths[graph.FormatEdgeList])
 		if err != nil {
@@ -90,10 +89,7 @@ func E2E(ctx *Context) (*E2EResult, error) {
 		if err := f.Close(); err != nil {
 			return nil, err
 		}
-		if err := graph.SaveBinaryFile(paths[graph.FormatBCSR1], prepared); err != nil {
-			return nil, err
-		}
-		if err := graph.SaveBinaryV2File(paths[graph.FormatBCSR2], prepared); err != nil {
+		if err := graph.SaveCSRFile(paths[graph.FormatBCSR3], prepared); err != nil {
 			return nil, err
 		}
 
@@ -124,11 +120,9 @@ func E2E(ctx *Context) (*E2EResult, error) {
 			switch format {
 			case graph.FormatEdgeList:
 				g, err = graph.LoadEdgeListFile(paths[format])
-			case graph.FormatBCSR1:
-				g, err = graph.LoadBinaryFile(paths[format])
-			case graph.FormatBCSR2:
+			case graph.FormatBCSR3:
 				var m *graph.MappedCSR
-				m, err = graph.MapBinaryFile(paths[format])
+				m, err = graph.MapCSRFile(paths[format])
 				if err == nil {
 					g, closer, row.Mapped = m.Graph(), m, m.Mapped()
 				}

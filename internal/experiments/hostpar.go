@@ -18,7 +18,7 @@ type HostParRow struct {
 	// Par is the fused bit-wise engine (degree-order dynamic dispatch,
 	// in-place repair).
 	SpecTime, ParTime     time.Duration
-	SpecStats, ParStats   metrics.ParallelStats
+	SpecStats, ParStats   metrics.RunStats
 	SpecColors, ParColors int
 	// Edges is the directed adjacency entry count, for ns/edge records.
 	Edges int64

@@ -21,7 +21,7 @@ type LocalityRow struct {
 	Time        time.Duration
 	NsPerEdge   float64
 	Colors      int
-	Stats       metrics.ParallelStats
+	Stats       metrics.RunStats
 	// HotCoverage is the fraction of directed adjacency entries whose
 	// destination sits under the hot-tier threshold v_t (the analytic
 	// HDC coverage of this arm's graph).

@@ -13,14 +13,14 @@ import (
 )
 
 // OutOfCoreRow is one dataset × arm measurement of the disk-to-coloring
-// path for the sharded engine: the in-core BCSR v2 baseline (map whole
-// file, partition in memory, color) against the shard-major BCSR v3
+// path for the sharded engine: the in-core baseline (map a one-shard
+// BCSR v3 file, partition in memory, color) against the shard-major BCSR v3
 // streaming executor, cold (partition + write + open + stream) and warm
 // (reopen an existing v3 file — the persisted partition is the cache,
 // so the partition stage collapses to a hash check).
 type OutOfCoreRow struct {
 	Dataset string
-	// Arm is "bcsr-v2-incore", "bcsr-v3-cold" or "bcsr-v3-warm".
+	// Arm is "bcsr-v3-incore", "bcsr-v3-cold" or "bcsr-v3-warm".
 	Arm string
 	// Bytes is the on-disk file size of the arm's input file.
 	Bytes int64
@@ -90,20 +90,20 @@ func OutOfCore(ctx *Context) (*OutOfCoreResult, error) {
 		n := prepared.NumVertices()
 		edges := prepared.NumEdges()
 
-		// Arm 1 — in-core baseline: map the v2 file, build the partition
-		// in memory, color with the in-core sharded engine. The whole
-		// adjacency is resident for the entire color stage.
-		v2Path := filepath.Join(dir, d.Abbrev+".v2.bcsr")
-		if err := graph.SaveBinaryV2File(v2Path, prepared); err != nil {
+		// Arm 1 — in-core baseline: map a one-shard file, build the
+		// partition in memory, color with the in-core sharded engine. The
+		// whole adjacency is resident for the entire color stage.
+		mappedPath := filepath.Join(dir, d.Abbrev+".bcsr")
+		if err := graph.SaveCSRFile(mappedPath, prepared); err != nil {
 			return nil, err
 		}
-		incore := OutOfCoreRow{Dataset: d.Abbrev, Arm: "bcsr-v2-incore", Edges: edges}
-		incore.Bytes = fileSize(v2Path)
+		incore := OutOfCoreRow{Dataset: d.Abbrev, Arm: "bcsr-v3-incore", Edges: edges}
+		incore.Bytes = fileSize(mappedPath)
 		start := time.Now()
-		m, err := graph.MapBinaryFile(v2Path)
+		m, err := graph.MapCSRFile(mappedPath)
 		incore.Load = time.Since(start)
 		if err != nil {
-			return nil, fmt.Errorf("%s map v2: %w", d.Abbrev, err)
+			return nil, fmt.Errorf("%s map one-shard v3: %w", d.Abbrev, err)
 		}
 		g := m.Graph()
 		start = time.Now()

@@ -115,13 +115,8 @@ func gdShapedEdgeList(tb testing.TB, n, k int) string {
 }
 
 func FuzzReadBinary(f *testing.F) {
-	// Seed with a valid payload and some corruptions.
-	g, _ := FromEdgeList(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	// Seed with the v1 writer's fixture and some corruptions.
+	valid := legacyBytes(f, "legacy-v1.bcsr")
 	f.Add(valid)
 	f.Add(valid[:len(valid)-2])
 	f.Add([]byte("BCSR"))
@@ -154,18 +149,13 @@ func FuzzReadBinary(f *testing.F) {
 	})
 }
 
-// FuzzReadBinaryV2 exercises the v2 parser (the same code path the
-// mmap fallback uses) with both corrupted real images and fabricated
-// headers: bad checksums, truncated sections, misaligned section
-// offsets, flipped endianness flags, and v1/v2 magic confusion must all
-// fail with explicit errors — never a panic or a silent misparse.
+// FuzzReadBinaryV2 exercises the v2 parser with both corrupted real
+// images (seeded from the v2 writer's fixture) and fabricated headers:
+// bad checksums, truncated sections, misaligned section offsets,
+// flipped endianness flags, and v1/v2 magic confusion must all fail
+// with explicit errors — never a panic or a silent misparse.
 func FuzzReadBinaryV2(f *testing.F) {
-	g, _ := FromEdgeList(4, []Edge{{U: 0, V: 1}, {U: 2, V: 3}})
-	var buf bytes.Buffer
-	if err := WriteBinaryV2(&buf, g); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := legacyBytes(f, "legacy-v2.bcsr")
 	mut := func(edit func(b []byte)) []byte {
 		b := append([]byte(nil), valid...)
 		edit(b)
@@ -183,11 +173,7 @@ func FuzzReadBinaryV2(f *testing.F) {
 	f.Add(valid[:len(valid)-3])         // truncated edges
 	f.Add(valid[:40])                   // truncated header
 	// A v1 image fed to the v2 parser (magic confusion the other way).
-	var v1 bytes.Buffer
-	if err := WriteBinary(&v1, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
+	f.Add(legacyBytes(f, "legacy-v1.bcsr"))
 	// Fabricated header with absurd counts.
 	lyingV2 := func(nv, ne uint64) []byte {
 		b := make([]byte, binaryV2HeaderSize)
@@ -209,29 +195,12 @@ func FuzzReadBinaryV2(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// The reader validated the payload, which records sortedness.
+		if !g.SortednessKnown() || g.EdgesSorted() != g.scanSorted() {
+			t.Fatalf("recorded sortedness %v disagrees with a scan (%v)", g.EdgesSorted(), g.scanSorted())
+		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("v2 reader returned invalid graph: %v", err)
-		}
-		// Whatever the copying reader accepts, the mapped path must agree
-		// on (or cleanly fall back for) when handed the same bytes.
-		path := filepath.Join(t.TempDir(), "fuzz.bcsr")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		m, err := MapBinaryFile(path)
-		if err != nil {
-			t.Fatalf("MapBinaryFile rejected bytes ReadBinaryV2 accepted: %v", err)
-		}
-		defer m.Close()
-		mg := m.Graph()
-		if mg.NumVertices() != g.NumVertices() || mg.NumEdges() != g.NumEdges() {
-			t.Fatalf("mapped view disagrees with copying reader: %s vs %s", mg, g)
-		}
-		// Both opens validated the payload, which records sortedness.
-		if !g.SortednessKnown() || !mg.SortednessKnown() ||
-			g.EdgesSorted() != g.scanSorted() || mg.EdgesSorted() != g.scanSorted() {
-			t.Fatalf("recorded sortedness (%v, mapped %v) disagrees with a scan (%v)",
-				g.EdgesSorted(), mg.EdgesSorted(), g.scanSorted())
 		}
 	})
 }
@@ -243,7 +212,7 @@ func FuzzReadBinaryV2(f *testing.F) {
 // counts must all fail with explicit errors — never a panic, a memory
 // balloon, or a silent misparse. Whatever the copying reader accepts,
 // the random-access OpenShardedFile path must accept too and agree on
-// the shape.
+// the shape, and a one-shard file must map as the same graph.
 func FuzzReadBinaryV3(f *testing.F) {
 	g, _ := FromEdgeList(6, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 4, V: 5}, {U: 0, V: 5}})
 	parts := []int32{0, 0, 0, 1, 1, 1}
@@ -275,11 +244,7 @@ func FuzzReadBinaryV3(f *testing.F) {
 	f.Add(valid[:len(valid)/2])                                                // truncated sections
 	f.Add(valid[:40])                                                          // truncated header
 	// A v2 image fed to the v3 parser (version confusion the other way).
-	var v2 bytes.Buffer
-	if err := WriteBinaryV2(&v2, g); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
+	f.Add(legacyBytes(f, "legacy-v2.bcsr"))
 	// Fabricated headers with valid FNV sums and absurd counts: the
 	// chunked meta read must hit EOF before any count-sized allocation.
 	lyingV3 := func(nv, ne uint64, shards, strategy uint32) []byte {
@@ -297,6 +262,14 @@ func FuzzReadBinaryV3(f *testing.F) {
 	f.Add(lyingV3(8, 1<<60, 2, 0))
 	f.Add(lyingV3(binaryMaxVertices, 0, 1<<19, 1))
 	f.Add(lyingV3(6, 10, 1<<30, 0))
+	// A one-shard image, the zero-copy layout, and a file from before
+	// v3 writers dropped the boundary blocks.
+	var one bytes.Buffer
+	if err := WriteBinaryV3(&one, g, make([]int32, 6), 1, V3PartitionRanges); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(one.Bytes())
+	f.Add(legacyBytes(f, "legacy-v3-4shard.bcsr"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, meta, err := ReadBinaryV3(bytes.NewReader(data))
 		if err != nil {
@@ -330,11 +303,24 @@ func FuzzReadBinaryV3(f *testing.F) {
 			}
 			sm.Close()
 		}
+		if sf.Shards() == 1 {
+			m, err := sf.MapCSR()
+			if err != nil {
+				t.Fatalf("MapCSR rejected a file ReadBinaryV3 accepted: %v", err)
+			}
+			defer m.Close()
+			mg := m.Graph()
+			if !slices.Equal(mg.Offsets, g.Offsets) || !slices.Equal(mg.Edges, g.Edges) ||
+				mg.EdgesSorted() != g.scanSorted() {
+				t.Fatal("mapped one-shard graph disagrees with the copying reader")
+			}
+		}
 	})
 }
 
 // FuzzBinaryRoundTrip builds a graph from fuzzed edge bytes and requires
-// the binary encode/decode cycle to reproduce it exactly.
+// a one-shard v3 file to reproduce it exactly through both the copying
+// reader and the mapped open.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(uint16(4), []byte{0, 1, 2, 3, 1, 2})
 	f.Add(uint16(1), []byte{0, 0})
@@ -349,26 +335,16 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if err != nil {
 			return // out-of-range vertex for this nv: not a round-trip case
 		}
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		got, err := ReadBinary(&buf)
+		path := writeOneShard(t, g)
+		got, _, err := LoadBinaryV3File(path)
 		if err != nil {
 			t.Fatalf("decode of a freshly encoded graph: %v", err)
 		}
-		if len(got.Offsets) != len(g.Offsets) || len(got.Edges) != len(g.Edges) {
-			t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
-				len(got.Offsets), len(got.Edges), len(g.Offsets), len(g.Edges))
-		}
-		for i := range g.Offsets {
-			if got.Offsets[i] != g.Offsets[i] {
-				t.Fatalf("offset %d: %d != %d", i, got.Offsets[i], g.Offsets[i])
-			}
-		}
-		for i := range g.Edges {
-			if got.Edges[i] != g.Edges[i] {
-				t.Fatalf("edge %d: %d != %d", i, got.Edges[i], g.Edges[i])
+		m := mapOneShard(t, path)
+		defer m.Close()
+		for label, c := range map[string]*CSR{"copying reader": got, "mapped": m.Graph()} {
+			if !slices.Equal(c.Offsets, g.Offsets) || !slices.Equal(c.Edges, g.Edges) {
+				t.Fatalf("%s: round trip changed the graph", label)
 			}
 		}
 	})

@@ -19,8 +19,9 @@ import (
 //   - SNAP-style whitespace-separated edge lists ("u v" per line, '#'
 //     comments), so the real paper datasets can be dropped in when
 //     available;
-//   - a compact little-endian binary CSR format for fast reload of
-//     generated datasets ("BCSR" magic, version, counts, offsets, edges).
+//   - the retired v1 binary CSR format ("BCSR" magic, version, counts,
+//     offsets, edges), kept readable so old files still load and
+//     `preprocess -convert` can rewrite them as BCSR v3.
 //
 // The edge-list grammar, stated once: lines are split by bufio.Scanner
 // (a trailing '\r' is dropped) and may be at most 1 MiB long. A line
@@ -276,42 +277,6 @@ const (
 	binaryVersion = uint32(1)
 )
 
-// WriteBinary serializes the CSR in the compact binary format.
-func WriteBinary(w io.Writer, g *CSR) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	hdr := []uint64{
-		uint64(binaryVersion),
-		uint64(g.NumVertices()),
-		uint64(len(g.Edges)),
-	}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	for _, o := range g.Offsets {
-		if err := binary.Write(bw, binary.LittleEndian, uint64(o)); err != nil {
-			return err
-		}
-	}
-	// Edges written in bulk via a reusable chunk to bound allocation.
-	const chunk = 1 << 16
-	buf := make([]byte, 0, chunk*4)
-	for i, e := range g.Edges {
-		buf = binary.LittleEndian.AppendUint32(buf, e)
-		if len(buf) == cap(buf) || i == len(g.Edges)-1 {
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	return bw.Flush()
-}
-
 // Header sanity caps for ReadBinary. VertexID is 32-bit, so a valid file
 // can never name more vertices than fit in one; the edge cap bounds
 // directed adjacency entries at 2^33 (32 GiB of payload) — generous for
@@ -322,7 +287,7 @@ const (
 	binaryReadChunk   = uint64(1) << 16 // entries read (and allocated) per step
 )
 
-// ReadBinary deserializes a CSR written by WriteBinary. Corrupt or
+// ReadBinary deserializes a v1 binary CSR. Corrupt or
 // truncated input fails with an explicit error rather than a huge
 // allocation: header counts are sanity-capped, the offsets and edge
 // arrays grow chunk by chunk as payload actually arrives (a lying header
@@ -412,12 +377,6 @@ func saveAtomic(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-// SaveBinaryFile atomically writes the graph to path in binary CSR
-// format (temp file + fsync + rename).
-func SaveBinaryFile(path string, g *CSR) error {
-	return saveAtomic(path, func(w io.Writer) error { return WriteBinary(w, g) })
 }
 
 // LoadBinaryFile reads a binary CSR file from disk.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
@@ -76,11 +77,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
+	g2, err := ReadBinary(bytes.NewReader(encodeV1(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +94,8 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 		t.Fatal("empty input accepted")
 	}
 	// Truncated payload.
-	g := paperExample(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-3]
+	b := encodeV1(paperExample(t))
+	trunc := b[:len(b)-3]
 	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
@@ -150,7 +143,7 @@ func TestBinaryCorruptHeaderErrors(t *testing.T) {
 func TestBinaryFileRoundTrip(t *testing.T) {
 	g := paperExample(t)
 	path := filepath.Join(t.TempDir(), "g.bcsr")
-	if err := SaveBinaryFile(path, g); err != nil {
+	if err := os.WriteFile(path, encodeV1(g), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := LoadBinaryFile(path)

@@ -7,17 +7,6 @@ import (
 	"syscall"
 )
 
-// mmapFile maps size bytes of f read-only and privately.
-func mmapFile(f *os.File, size int) ([]byte, error) {
-	if size == 0 {
-		return nil, syscall.EINVAL
-	}
-	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_PRIVATE)
-}
-
-// munmap releases a mapping created by mmapFile.
-func munmap(data []byte) error { return syscall.Munmap(data) }
-
 // mmapRange maps [off, off+n) of f read-only and privately. off need
 // not be page-aligned: the mapping starts at the containing page and
 // view is sliced to exactly the requested range. mapping is what must
@@ -44,27 +33,4 @@ func mmapRange(f *os.File, off, n uint64) (mapping, view []byte, err error) {
 func releaseMapping(mapping []byte) error {
 	syscall.Madvise(mapping, syscall.MADV_DONTNEED)
 	return syscall.Munmap(mapping)
-}
-
-// adviseMapping hints the kernel about the v2 access pattern: the
-// offsets section is scanned sequentially (validation, degree sweeps)
-// while the edges section is walked in vertex order but touched at
-// neighbor granularity. madvise requires page-aligned starts, so each
-// hint is rounded inward to page boundaries; all errors are ignored —
-// the hints are purely advisory.
-func adviseMapping(data []byte, offStart, offEnd, edgeStart, edgeEnd uint64) {
-	page := uint64(os.Getpagesize())
-	sub := func(start, end uint64, advice int) {
-		start = (start + page - 1) &^ (page - 1) // round up: never hint a neighboring section
-		end &^= page - 1                         // round down
-		if start >= end || end > uint64(len(data)) {
-			return
-		}
-		syscall.Madvise(data[start:end], advice)
-	}
-	// The whole file will be needed promptly (checksum already touched
-	// it, keep it resident for the coloring pass).
-	syscall.Madvise(data, syscall.MADV_WILLNEED)
-	sub(offStart, offEnd, syscall.MADV_SEQUENTIAL)
-	sub(edgeStart, edgeEnd, syscall.MADV_RANDOM)
 }

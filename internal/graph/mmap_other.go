@@ -7,18 +7,12 @@ import (
 	"os"
 )
 
-// errMmapUnsupported routes MapBinaryFile to the copying fallback on
+// errMmapUnsupported routes MapShard to its pread-copy fallback on
 // platforms where the mmap fast path is not wired up.
 var errMmapUnsupported = errors.New("mmap unsupported on this platform")
-
-func mmapFile(f *os.File, size int) ([]byte, error) { return nil, errMmapUnsupported }
-
-func munmap(data []byte) error { return nil }
 
 func mmapRange(f *os.File, off, n uint64) (mapping, view []byte, err error) {
 	return nil, nil, errMmapUnsupported
 }
 
 func releaseMapping(mapping []byte) error { return nil }
-
-func adviseMapping(data []byte, offStart, offEnd, edgeStart, edgeEnd uint64) {}

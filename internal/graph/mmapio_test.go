@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -56,11 +57,7 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 		{"medium", randomV2Graph(t, 500, 3000, 3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := WriteBinaryV2(&buf, tc.g); err != nil {
-				t.Fatal(err)
-			}
-			got, err := ReadBinaryV2(bytes.NewReader(buf.Bytes()))
+			got, err := ReadBinaryV2(bytes.NewReader(encodeV2(tc.g)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,57 +66,78 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryV2SectionAlignment(t *testing.T) {
-	g := randomV2Graph(t, 13, 30, 4)
-	var buf bytes.Buffer
-	if err := WriteBinaryV2(&buf, g); err != nil {
+// writeOneShard saves g with SaveCSRFile under the test's temp dir.
+func writeOneShard(t testing.TB, g *CSR) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g.bcsr")
+	if err := SaveCSRFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	offsetsOff := binary.LittleEndian.Uint64(b[32:40])
-	edgesOff := binary.LittleEndian.Uint64(b[40:48])
-	if offsetsOff%binaryV2Align != 0 || edgesOff%binaryV2Align != 0 {
-		t.Fatalf("section offsets %d/%d not %d-aligned", offsetsOff, edgesOff, binaryV2Align)
-	}
-	if want := edgesOff + uint64(len(g.Edges))*4; uint64(len(b)) != want {
-		t.Fatalf("file size %d, want %d", len(b), want)
-	}
+	return path
 }
 
-func TestMapBinaryFile(t *testing.T) {
-	g := randomV2Graph(t, 300, 2000, 5)
-	path := filepath.Join(t.TempDir(), "g.bcsr")
-	if err := SaveBinaryV2File(path, g); err != nil {
-		t.Fatal(err)
-	}
-	m, err := MapBinaryFile(path)
+// mapOneShard is MapCSRFile, failing the test on error.
+func mapOneShard(t testing.TB, path string) *MappedCSR {
+	t.Helper()
+	m, err := MapCSRFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	return m
+}
+
+// TestMapCSR: a one-shard file maps as the whole graph in place, with
+// its sortedness counted from the data, its bytes charged to the
+// handle's residency counters until Close, and a multi-shard file
+// refused.
+func TestMapCSR(t *testing.T) {
+	g := randomV2Graph(t, 300, 2000, 5)
+	sf, err := OpenShardedFile(writeOneShard(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sf.Close()
+	m, err := sf.MapCSR()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if runtime.GOOS == "linux" && !m.Mapped() {
 		t.Error("expected the zero-copy mapping on linux")
 	}
 	mg := m.Graph()
-	if !mg.Backed() && m.Mapped() {
-		t.Error("mapped graph should report Backed")
+	if mg.Backed() != m.Mapped() {
+		t.Errorf("Backed %v, Mapped %v: want equal", mg.Backed(), m.Mapped())
 	}
 	sameCSR(t, mg, g, "mapped view")
+	if !mg.SortednessKnown() || !mg.EdgesSorted() {
+		t.Error("mapped graph should record its sorted lists")
+	}
 	if err := mg.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if st := sf.Stats(); st.Maps != 1 || st.Unmaps != 0 || st.ResidentBytes <= 0 {
+		t.Errorf("open mapped CSR: %+v, want one map resident", st)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sf.Stats(); st.Maps != st.Unmaps || st.ResidentBytes != 0 {
+		t.Errorf("closed mapped CSR: %+v, want maps == unmaps and nothing resident", st)
+	}
+
+	multi, err := OpenShardedFile(writeV3File(t, g, rangeParts(300, 2), 2, V3PartitionRanges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer multi.Close()
+	if m, err := multi.MapCSR(); err == nil {
+		m.Close()
+		t.Error("MapCSR accepted a two-shard file")
 	}
 }
 
 func TestMappedCSRUseAfterClose(t *testing.T) {
-	g := randomV2Graph(t, 20, 40, 6)
-	path := filepath.Join(t.TempDir(), "g.bcsr")
-	if err := SaveBinaryV2File(path, g); err != nil {
-		t.Fatal(err)
-	}
-	m, err := MapBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mapOneShard(t, writeOneShard(t, randomV2Graph(t, 20, 40, 6)))
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +155,7 @@ func TestMappedCSRUseAfterClose(t *testing.T) {
 // corruptV2 returns a valid v2 image and helpers to corrupt it.
 func corruptV2(t *testing.T) []byte {
 	t.Helper()
-	g := randomV2Graph(t, 50, 200, 7)
-	var buf bytes.Buffer
-	if err := WriteBinaryV2(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeV2(randomV2Graph(t, 50, 200, 7))
 }
 
 // rewriteHeaderSum recomputes the header checksum after a deliberate
@@ -193,27 +206,15 @@ func TestBinaryV2CorruptInputs(t *testing.T) {
 			if _, err := ReadBinaryV2(bytes.NewReader(data)); err == nil {
 				t.Error("ReadBinaryV2 accepted corrupt input")
 			}
-			path := filepath.Join(t.TempDir(), "bad.bcsr")
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if m, err := MapBinaryFile(path); err == nil {
-				m.Close()
-				t.Error("MapBinaryFile accepted corrupt input")
-			}
 		})
 	}
 }
 
 // TestBinaryV2BigEndianPayload verifies a foreign-byte-order file is
-// decoded by the copying reader and refused (→ fallback) by the mapper.
+// decoded by the copying reader.
 func TestBinaryV2BigEndianPayload(t *testing.T) {
 	g := randomV2Graph(t, 30, 80, 8)
-	var buf bytes.Buffer
-	if err := WriteBinaryV2(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
+	b := encodeV2(g)
 	offsetsOff := binary.LittleEndian.Uint64(b[32:40])
 	edgesOff := binary.LittleEndian.Uint64(b[40:48])
 	// Byte-swap both sections in place and re-checksum.
@@ -224,8 +225,8 @@ func TestBinaryV2BigEndianPayload(t *testing.T) {
 		binary.BigEndian.PutUint32(b[i:], g.Edges[(i-edgesOff)/4])
 	}
 	binary.LittleEndian.PutUint32(b[12:16], binaryV2FlagBigEndian)
-	payloadSum := v2SectionSum(b[offsetsOff:offsetsOff+uint64(len(g.Offsets))*8],
-		b[edgesOff:edgesOff+uint64(len(g.Edges))*4])
+	payloadSum := uint64(crc32.Checksum(b[offsetsOff:offsetsOff+uint64(len(g.Offsets))*8], crcTable))<<32 |
+		uint64(crc32.Checksum(b[edgesOff:edgesOff+uint64(len(g.Edges))*4], crcTable))
 	binary.LittleEndian.PutUint64(b[48:56], payloadSum)
 	rewriteHeaderSum(b)
 
@@ -234,34 +235,12 @@ func TestBinaryV2BigEndianPayload(t *testing.T) {
 		t.Fatalf("copying reader on BE payload: %v", err)
 	}
 	sameCSR(t, got, g, "big-endian decode")
-
-	path := filepath.Join(t.TempDir(), "be.bcsr")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := MapBinaryFile(path)
-	if err != nil {
-		t.Fatalf("MapBinaryFile on BE payload: %v", err)
-	}
-	defer m.Close()
-	if m.Mapped() {
-		t.Error("BE payload must not be aliased in place")
-	}
-	sameCSR(t, m.Graph(), g, "big-endian fallback")
 }
 
 func TestSniffFormat(t *testing.T) {
 	dir := t.TempDir()
 	g := randomV2Graph(t, 10, 20, 9)
-
-	v1 := filepath.Join(dir, "g1.bcsr")
-	if err := SaveBinaryFile(v1, g); err != nil {
-		t.Fatal(err)
-	}
-	v2 := filepath.Join(dir, "g2.bcsr")
-	if err := SaveBinaryV2File(v2, g); err != nil {
-		t.Fatal(err)
-	}
+	v1, v2 := legacyPath("legacy-v1.bcsr"), legacyPath("legacy-v2.bcsr")
 	el := filepath.Join(dir, "g.txt")
 	f, err := os.Create(el)
 	if err != nil {
@@ -304,7 +283,7 @@ func TestSaveAtomicLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	g := randomV2Graph(t, 10, 20, 10)
 	path := filepath.Join(dir, "g.bcsr")
-	if err := SaveBinaryFile(path, g); err != nil {
+	if err := SaveCSRFile(path, g); err != nil {
 		t.Fatal(err)
 	}
 	orig, err := os.ReadFile(path)

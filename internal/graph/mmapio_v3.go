@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"unsafe"
 )
 
 // BCSR v3 is the shard-major successor to v2: the CSR is stored
@@ -38,7 +39,7 @@ import (
 // packs CRC32-C(offsets)<<32|CRC32-C(edges) and sumB packs
 // CRC32-C(vmap)<<32|CRC32-C(bnd).
 //
-// Each shard then contributes four 64-byte-aligned sections in order:
+// Each shard then contributes its 64-byte-aligned sections in order:
 //
 //	offsets  (nvLocal+1) × int64 — local CSR offsets
 //	edges    neLocal × uint32    — full global adjacency of the shard's
@@ -47,17 +48,20 @@ import (
 //	vmap     nvLocal × uint32    — ascending global IDs (local→global)
 //	bnd      boundary block, empty when nBoundary == 0, else
 //	         [boffsets (nBoundary+1)×int64 | bverts nBoundary×uint32 |
-//	          bedges nbEdges×uint32] — per frontier vertex, its u<v
-//	         adjacency in source order (exactly the entries the bounded
-//	         second phase walks)
+//	         bedges nbEdges×uint32]
+//
+// Writers emit nBoundary = nbEdges = 0, so no shard has a boundary
+// block. Files written before the ordered stream replaced the frontier
+// phase carry one per shard (the frontier vertices' lower adjacency);
+// the copying reader still reads and CRC-checks those bytes and then
+// ignores them, and nothing maps them.
 //
 // Section placement is fully determined by the counts, so a reader
 // recomputes the layout and rejects any directory that disagrees — a
-// lying directory can never alias sections or leak padding. The bnd
-// block's vertex set is the write-time frontier mask, which equals the
-// fixpoint of the runtime phase-1 marks at any schedule (a vertex is
-// marked iff some lower neighbor is cross-shard or itself marked), so a
-// streaming run needs no whole-graph adjacency to resolve the frontier.
+// lying directory can never alias sections or leak padding. A one-shard
+// file's shard 0 is the whole CSR: its vmap is the identity and its
+// offsets and edges are the global arrays, which is what lets
+// ShardedFile.MapCSR hand them to the engines in place.
 const (
 	binaryV3Version    = uint64(3)
 	binaryV3HeaderSize = 64
@@ -103,15 +107,10 @@ func ContentHash(g *CSR) uint64 {
 	return h
 }
 
-// v3Audit computes, in one adjacency sweep, the structural facts v3
-// persists: the frontier mask (mask[v] iff some lower neighbor u<v is
-// cross-part or itself masked — the schedule-independent fixpoint of
-// the sharded engine's phase-1 marks), plus cut edges and boundary
-// vertices with partition.Classify semantics.
-func v3Audit(g *CSR, parts []int32) (mask []bool, cutEdges int64, boundary int) {
-	n := g.NumVertices()
-	mask = make([]bool, n)
-	for v := 0; v < n; v++ {
+// v3Totals computes the cut edges and boundary vertices of an
+// assignment with partition.Classify semantics — the totals v3 persists.
+func v3Totals(g *CSR, parts []int32) (cutEdges int64, boundary int) {
+	for v := 0; v < g.NumVertices(); v++ {
 		pv := parts[v]
 		cross := false
 		for _, u := range g.Neighbors(VertexID(v)) {
@@ -120,27 +119,13 @@ func v3Audit(g *CSR, parts []int32) (mask []bool, cutEdges int64, boundary int) 
 				if VertexID(v) < u {
 					cutEdges++
 				}
-				if u < VertexID(v) {
-					mask[v] = true
-				}
-			} else if u < VertexID(v) && mask[u] {
-				mask[v] = true
 			}
 		}
 		if cross {
 			boundary++
 		}
 	}
-	return mask, cutEdges, boundary
-}
-
-// FrontierMask returns the frontier mask of an assignment: mask[v]
-// reports whether the sharded engine's interior pass defers v to the
-// frontier phase (directly cross-shard below, or downstream of a
-// deferred lower neighbor in its own shard).
-func FrontierMask(g *CSR, parts []int32) []bool {
-	mask, _, _ := v3Audit(g, parts)
-	return mask
+	return cutEdges, boundary
 }
 
 // v3HeaderFields holds the parsed and verified v3 header.
@@ -279,13 +264,23 @@ func parseV3Meta(meta []byte, f v3HeaderFields) (*v3Meta, error) {
 	if got := crc32.Checksum(meta, crcTable); got != f.metaSum {
 		return nil, fmt.Errorf("graph: v3 meta checksum mismatch (got %#x, want %#x)", got, f.metaSum)
 	}
-	m := &v3Meta{parts: make([]int32, f.nv)}
-	for i := range m.parts {
-		p := int32(binary.LittleEndian.Uint32(meta[4*i:]))
-		if p < 0 || uint32(p) >= f.shards {
+	m := &v3Meta{}
+	if hostLittleEndian() && f.nv > 0 && uintptr(unsafe.Pointer(&meta[0]))%4 == 0 {
+		// The stored parts are the array: alias the meta bytes. Decoding
+		// them into a second O(V) buffer made the mapped one-shard open
+		// of the GD stand-in 1.2× the retired v2 mapper's, against 0.99×
+		// aliased; the extra allocation, not the loop, is the cost.
+		m.parts = unsafe.Slice((*int32)(unsafe.Pointer(&meta[0])), f.nv)
+	} else {
+		m.parts = make([]int32, f.nv)
+		for i := range m.parts {
+			m.parts[i] = int32(binary.LittleEndian.Uint32(meta[4*i:]))
+		}
+	}
+	for i, p := range m.parts {
+		if uint32(p) >= f.shards {
 			return nil, fmt.Errorf("graph: v3 part %d for vertex %d out of range [0,%d)", p, i, f.shards)
 		}
-		m.parts[i] = p
 	}
 	pos := (f.nv*4 + 7) &^ 7
 	for i := f.nv * 4; i < pos; i++ {
@@ -363,11 +358,11 @@ func v3VertexLists(parts []int32, k int) [][]VertexID {
 	return lists
 }
 
-// v3ShardEncoder builds one shard's four sections as stored bytes,
-// reusing its buffers across shards so the writer's peak allocation is
-// one (largest) shard rather than the whole payload.
+// v3ShardEncoder builds one shard's sections as stored bytes, reusing
+// its buffers across shards so the writer's peak allocation is one
+// (largest) shard rather than the whole payload.
 type v3ShardEncoder struct {
-	offsets, edges, vmap, bnd []byte
+	offsets, edges, vmap []byte
 }
 
 func v3Grow(b []byte, n uint64) []byte {
@@ -379,11 +374,10 @@ func v3Grow(b []byte, n uint64) []byte {
 
 // encode fills the encoder's buffers with shard d's sections. Every
 // byte of each buffer is overwritten, so reuse needs no zeroing.
-func (e *v3ShardEncoder) encode(g *CSR, mask []bool, list []VertexID, d *v3ShardDir) {
+func (e *v3ShardEncoder) encode(g *CSR, list []VertexID, d *v3ShardDir) {
 	e.offsets = v3Grow(e.offsets, (d.nvLocal+1)*8)
 	e.edges = v3Grow(e.edges, d.neLocal*4)
 	e.vmap = v3Grow(e.vmap, d.nvLocal*4)
-	e.bnd = v3Grow(e.bnd, d.bndLen())
 	binary.LittleEndian.PutUint64(e.offsets[0:], 0)
 	var off int64
 	epos := 0
@@ -395,29 +389,6 @@ func (e *v3ShardEncoder) encode(g *CSR, mask []bool, list []VertexID, d *v3Shard
 		}
 		off += g.Offsets[v+1] - g.Offsets[v]
 		binary.LittleEndian.PutUint64(e.offsets[8*(i+1):], uint64(off))
-	}
-	if d.nBoundary == 0 {
-		return
-	}
-	bvertsOff := (d.nBoundary + 1) * 8
-	bedgesOff := bvertsOff + d.nBoundary*4
-	bi := uint64(0)
-	var bcount uint64
-	binary.LittleEndian.PutUint64(e.bnd[0:], 0)
-	for _, v := range list {
-		if !mask[v] {
-			continue
-		}
-		binary.LittleEndian.PutUint32(e.bnd[bvertsOff+4*bi:], uint32(v))
-		for _, u := range g.Neighbors(v) {
-			if u < v {
-				binary.LittleEndian.PutUint32(e.bnd[bedgesOff:], uint32(u))
-				bedgesOff += 4
-				bcount++
-			}
-		}
-		bi++
-		binary.LittleEndian.PutUint64(e.bnd[8*bi:], bcount)
 	}
 }
 
@@ -464,7 +435,7 @@ func WriteBinaryV3(w io.Writer, g *CSR, parts []int32, k int, strategy uint32) e
 			return fmt.Errorf("graph: v3 part %d for vertex %d out of range [0,%d)", p, v, k)
 		}
 	}
-	mask, cut, boundary := v3Audit(g, parts)
+	cut, boundary := v3Totals(g, parts)
 	lists := v3VertexLists(parts, k)
 	dir := make([]v3ShardDir, k)
 	for s, list := range lists {
@@ -472,24 +443,16 @@ func WriteBinaryV3(w io.Writer, g *CSR, parts []int32, k int, strategy uint32) e
 		d.nvLocal = uint64(len(list))
 		for _, v := range list {
 			d.neLocal += uint64(g.Offsets[v+1] - g.Offsets[v])
-			if mask[v] {
-				d.nBoundary++
-				for _, u := range g.Neighbors(v) {
-					if u < v {
-						d.nbEdges++
-					}
-				}
-			}
 		}
 	}
 	v3PlaceSections(nv, dir)
 	var enc v3ShardEncoder
 	for s := range dir {
-		enc.encode(g, mask, lists[s], &dir[s])
+		enc.encode(g, lists[s], &dir[s])
 		dir[s].sumA = uint64(crc32.Checksum(enc.offsets, crcTable))<<32 |
 			uint64(crc32.Checksum(enc.edges, crcTable))
-		dir[s].sumB = uint64(crc32.Checksum(enc.vmap, crcTable))<<32 |
-			uint64(crc32.Checksum(enc.bnd, crcTable))
+		// The low half is the empty boundary block's CRC, which is 0.
+		dir[s].sumB = uint64(crc32.Checksum(enc.vmap, crcTable)) << 32
 	}
 	meta := encodeV3Meta(parts, uint64(cut), uint64(boundary), dir)
 	f := v3HeaderFields{nv: nv, ne: ne, shards: uint32(k), strategy: strategy,
@@ -523,7 +486,7 @@ func WriteBinaryV3(w io.Writer, g *CSR, parts []int32, k int, strategy uint32) e
 	}
 	for s := range dir {
 		d := &dir[s]
-		enc.encode(g, mask, lists[s], d)
+		enc.encode(g, lists[s], d)
 		if err := emit(d.offsetsOff, enc.offsets); err != nil {
 			return err
 		}
@@ -531,9 +494,6 @@ func WriteBinaryV3(w io.Writer, g *CSR, parts []int32, k int, strategy uint32) e
 			return err
 		}
 		if err := emit(d.vmapOff, enc.vmap); err != nil {
-			return err
-		}
-		if err := emit(d.bndOff, enc.bnd); err != nil {
 			return err
 		}
 	}
@@ -544,9 +504,15 @@ func WriteBinaryV3(w io.Writer, g *CSR, parts []int32, k int, strategy uint32) e
 }
 
 // SaveBinaryV3File atomically writes the graph and assignment to path
-// in v3 format (temp file + fsync + rename, like SaveBinaryV2File).
+// in v3 format (temp file + fsync + rename).
 func SaveBinaryV3File(path string, g *CSR, parts []int32, k int, strategy uint32) error {
 	return saveAtomic(path, func(w io.Writer) error { return WriteBinaryV3(w, g, parts, k, strategy) })
+}
+
+// SaveCSRFile atomically writes g as a one-shard v3 file, the layout
+// MapCSRFile (and ShardedFile.MapCSR) maps in place.
+func SaveCSRFile(path string, g *CSR) error {
+	return SaveBinaryV3File(path, g, make([]int32, g.NumVertices()), 1, V3PartitionRanges)
 }
 
 // V3Meta is the partition metadata a v3 file carries alongside the
@@ -579,97 +545,37 @@ func readV3Bytes(br io.Reader, scratch []byte, n uint64, what string) ([]byte, e
 	return out, nil
 }
 
-// decodeV3Shard decodes and structurally validates one shard's main
-// sections from their stored bytes: local offsets monotone and
-// terminal, edge destinations in range, vmap strictly ascending and
-// owned by shard s.
-func decodeV3Shard(s int, d *v3ShardDir, nv uint64, parts []int32, offB, edgeB, vmapB []byte) (offsets []int64, edges, vmap []VertexID, err error) {
+// decodeV3Shard decodes one shard's main sections from their stored
+// bytes and validates them with validateShardSections, which also
+// reports whether every adjacency list is ascending (desc counts the
+// edges' descents, as sumDescents returns it).
+func decodeV3Shard(s int, d *v3ShardDir, nv uint64, parts []int32, offB, edgeB, vmapB []byte, desc int) (offsets []int64, edges, vmap []VertexID, sorted bool, err error) {
 	offsets = make([]int64, d.nvLocal+1)
 	for i := range offsets {
 		offsets[i] = int64(binary.LittleEndian.Uint64(offB[8*i:]))
 	}
-	if offsets[0] != 0 {
-		return nil, nil, nil, fmt.Errorf("graph: v3 shard %d offsets start at %d", s, offsets[0])
-	}
-	for i := uint64(1); i <= d.nvLocal; i++ {
-		if offsets[i] < offsets[i-1] {
-			return nil, nil, nil, fmt.Errorf("graph: v3 shard %d offsets decrease at %d", s, i)
-		}
-	}
-	if offsets[d.nvLocal] != int64(d.neLocal) {
-		return nil, nil, nil, fmt.Errorf("graph: v3 shard %d offsets end at %d (directory claims %d entries)",
-			s, offsets[d.nvLocal], d.neLocal)
-	}
 	edges = make([]VertexID, d.neLocal)
 	for i := range edges {
-		e := binary.LittleEndian.Uint32(edgeB[4*i:])
-		if uint64(e) >= nv {
-			return nil, nil, nil, fmt.Errorf("graph: v3 shard %d edge destination %d out of range", s, e)
-		}
-		edges[i] = e
+		edges[i] = binary.LittleEndian.Uint32(edgeB[4*i:])
 	}
 	vmap = make([]VertexID, d.nvLocal)
 	for i := range vmap {
-		v := binary.LittleEndian.Uint32(vmapB[4*i:])
-		if uint64(v) >= nv || parts[v] != int32(s) {
-			return nil, nil, nil, fmt.Errorf("graph: v3 shard %d vmap entry %d not a shard vertex", s, v)
-		}
-		if i > 0 && v <= uint32(vmap[i-1]) {
-			return nil, nil, nil, fmt.Errorf("graph: v3 shard %d vmap not strictly ascending at %d", s, i)
-		}
-		vmap[i] = v
+		vmap[i] = binary.LittleEndian.Uint32(vmapB[4*i:])
 	}
-	return offsets, edges, vmap, nil
-}
-
-// decodeV3Bnd decodes and validates one shard's boundary block: prefix
-// offsets monotone and terminal, frontier vertices strictly ascending
-// and owned by shard s, every stored edge strictly below its vertex.
-func decodeV3Bnd(s int, d *v3ShardDir, nv uint64, parts []int32, bndB []byte) (boffsets []int64, bverts, bedges []VertexID, err error) {
-	if d.nBoundary == 0 {
-		return nil, nil, nil, nil
+	if sorted, err = validateShardSections(s, nv, parts, offsets, edges, vmap, desc); err != nil {
+		return nil, nil, nil, false, err
 	}
-	boffsets = make([]int64, d.nBoundary+1)
-	for i := range boffsets {
-		boffsets[i] = int64(binary.LittleEndian.Uint64(bndB[8*i:]))
-	}
-	if boffsets[0] != 0 || boffsets[d.nBoundary] != int64(d.nbEdges) {
-		return nil, nil, nil, fmt.Errorf("graph: v3 shard %d boundary offsets malformed", s)
-	}
-	bvertsOff := (d.nBoundary + 1) * 8
-	bedgesOff := bvertsOff + d.nBoundary*4
-	bverts = make([]VertexID, d.nBoundary)
-	bedges = make([]VertexID, d.nbEdges)
-	for i := range bverts {
-		v := binary.LittleEndian.Uint32(bndB[bvertsOff+4*uint64(i):])
-		if uint64(v) >= nv || parts[v] != int32(s) {
-			return nil, nil, nil, fmt.Errorf("graph: v3 shard %d frontier vertex %d not a shard vertex", s, v)
-		}
-		if i > 0 && v <= uint32(bverts[i-1]) {
-			return nil, nil, nil, fmt.Errorf("graph: v3 shard %d frontier vertices not ascending at %d", s, i)
-		}
-		bverts[i] = v
-		if boffsets[i+1] < boffsets[i] {
-			return nil, nil, nil, fmt.Errorf("graph: v3 shard %d boundary offsets decrease at %d", s, i)
-		}
-		for j := boffsets[i]; j < boffsets[i+1]; j++ {
-			u := binary.LittleEndian.Uint32(bndB[bedgesOff+4*uint64(j):])
-			if u >= v {
-				return nil, nil, nil, fmt.Errorf("graph: v3 shard %d boundary edge %d not below vertex %d", s, u, v)
-			}
-			bedges[j] = u
-		}
-	}
-	return boffsets, bverts, bedges, nil
+	return offsets, edges, vmap, sorted, nil
 }
 
 // ReadBinaryV3 deserializes a v3 stream by copying, reconstructing the
 // global CSR from the shard-major sections and returning the persisted
 // partition metadata. Every layer is verified: header and meta
-// checksums, per-section CRCs, structural invariants, the source
-// content hash against the reconstructed graph, and the boundary blocks
-// against a recomputed frontier mask — a v3 file that loads here is
-// guaranteed to stream correctly.
+// checksums, per-section CRCs (an older file's boundary blocks
+// included, whose bytes are then ignored), structural invariants, the
+// source content hash and the persisted totals against the
+// reconstructed graph — a v3 file that loads here is guaranteed to
+// stream correctly.
 func ReadBinaryV3(r io.Reader) (*CSR, *V3Meta, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hdr := make([]byte, binaryV3HeaderSize)
@@ -711,12 +617,9 @@ func ReadBinaryV3(r io.Reader) (*CSR, *V3Meta, error) {
 		return b, nil
 	}
 	type shardPayload struct {
-		offsets  []int64
-		edges    []VertexID
-		vmap     []VertexID
-		boffsets []int64
-		bverts   []VertexID
-		bedges   []VertexID
+		offsets []int64
+		edges   []VertexID
+		vmap    []VertexID
 	}
 	shards := make([]shardPayload, f.shards)
 	for s := range shards {
@@ -737,16 +640,14 @@ func ReadBinaryV3(r io.Reader) (*CSR, *V3Meta, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		sumA := uint64(crc32.Checksum(offB, crcTable))<<32 | uint64(crc32.Checksum(edgeB, crcTable))
+		edgeSum, desc := sumDescents(edgeB)
+		sumA := uint64(crc32.Checksum(offB, crcTable))<<32 | uint64(edgeSum)
 		sumB := uint64(crc32.Checksum(vmapB, crcTable))<<32 | uint64(crc32.Checksum(bndB, crcTable))
 		if sumA != d.sumA || sumB != d.sumB {
 			return nil, nil, fmt.Errorf("graph: v3 shard %d section checksum mismatch", s)
 		}
 		sp := &shards[s]
-		if sp.offsets, sp.edges, sp.vmap, err = decodeV3Shard(s, d, f.nv, m.parts, offB, edgeB, vmapB); err != nil {
-			return nil, nil, err
-		}
-		if sp.boffsets, sp.bverts, sp.bedges, err = decodeV3Bnd(s, d, f.nv, m.parts, bndB); err != nil {
+		if sp.offsets, sp.edges, sp.vmap, _, err = decodeV3Shard(s, d, f.nv, m.parts, offB, edgeB, vmapB, desc); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -766,7 +667,6 @@ func ReadBinaryV3(r io.Reader) (*CSR, *V3Meta, error) {
 		for i, v := range sp.vmap {
 			copy(g.Edges[g.Offsets[v]:g.Offsets[v+1]], sp.edges[sp.offsets[i]:sp.offsets[i+1]])
 		}
-		sp.offsets, sp.edges = nil, nil // keep only boundary data for the audit
 	}
 	if err := g.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("graph: v3 payload invalid: %w", err)
@@ -777,39 +677,10 @@ func ReadBinaryV3(r io.Reader) (*CSR, *V3Meta, error) {
 	if f.sorted() != g.EdgesSorted() {
 		return nil, nil, fmt.Errorf("graph: v3 sorted flag %v disagrees with payload", f.sorted())
 	}
-	mask, cut, boundary := v3Audit(g, m.parts)
+	cut, boundary := v3Totals(g, m.parts)
 	if uint64(cut) != m.cutEdges || uint64(boundary) != m.boundary {
 		return nil, nil, fmt.Errorf("graph: v3 totals (%d cut, %d boundary) disagree with payload (%d, %d)",
 			m.cutEdges, m.boundary, cut, boundary)
-	}
-	for s := range shards {
-		sp := &shards[s]
-		bi := 0
-		for _, v := range sp.vmap {
-			if !mask[v] {
-				continue
-			}
-			if bi >= len(sp.bverts) || sp.bverts[bi] != v {
-				return nil, nil, fmt.Errorf("graph: v3 shard %d boundary block omits frontier vertex %d", s, v)
-			}
-			j := sp.boffsets[bi]
-			for _, u := range g.Neighbors(v) {
-				if u >= v {
-					continue
-				}
-				if j >= sp.boffsets[bi+1] || sp.bedges[j] != u {
-					return nil, nil, fmt.Errorf("graph: v3 shard %d boundary adjacency of %d disagrees with payload", s, v)
-				}
-				j++
-			}
-			if j != sp.boffsets[bi+1] {
-				return nil, nil, fmt.Errorf("graph: v3 shard %d boundary adjacency of %d has extra entries", s, v)
-			}
-			bi++
-		}
-		if bi != len(sp.bverts) {
-			return nil, nil, fmt.Errorf("graph: v3 shard %d boundary block lists %d extra vertices", s, len(sp.bverts)-bi)
-		}
 	}
 	meta := &V3Meta{
 		Shards:      int(f.shards),
@@ -823,7 +694,7 @@ func ReadBinaryV3(r io.Reader) (*CSR, *V3Meta, error) {
 	return g, meta, nil
 }
 
-// LoadBinaryV3File reads a v3 file from disk by copying (no mmap).
+// LoadBinaryV3File reads a v3 file from disk by copying.
 func LoadBinaryV3File(path string) (*CSR, *V3Meta, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -2,9 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -88,11 +92,33 @@ func TestBinaryV3RoundTrip(t *testing.T) {
 					t.Fatalf("%s: parts[%d] = %d, want %d", label, v, meta.Parts[v], p)
 				}
 			}
-			_, cut, boundary := v3Audit(g, parts)
+			cut, boundary := v3Totals(g, parts)
 			if meta.CutEdges != cut || meta.Boundary != boundary {
 				t.Fatalf("%s: totals (%d,%d), want (%d,%d)", label, meta.CutEdges, meta.Boundary, cut, boundary)
 			}
 		}
+	}
+}
+
+// TestV3WritesNoBoundaryBlocks: every directory record a writer emits
+// has nBoundary == nbEdges == 0, with the cut totals still persisted.
+func TestV3WritesNoBoundaryBlocks(t *testing.T) {
+	g := v3TestGraph(t, 300, 2000, 31)
+	for _, parts := range [][]int32{rangeParts(300, 4), scatterParts(300, 3)} {
+		k := int(slices.Max(parts)) + 1
+		sf, err := OpenShardedFile(writeV3File(t, g, parts, k, V3PartitionRanges))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sf.CutEdges() == 0 || sf.Boundary() == 0 {
+			t.Fatalf("k=%d: totals (%d, %d), want a cut", k, sf.CutEdges(), sf.Boundary())
+		}
+		for s, d := range sf.meta.dir {
+			if d.nBoundary != 0 || d.nbEdges != 0 {
+				t.Fatalf("k=%d shard %d: %d boundary vertices, %d entries; want none", k, s, d.nBoundary, d.nbEdges)
+			}
+		}
+		sf.Close()
 	}
 }
 
@@ -144,8 +170,8 @@ func TestBinaryV3ConversionRoundTrip(t *testing.T) {
 	g := v3TestGraph(t, 300, 2400, 5)
 	dir := t.TempDir()
 	v2Path := filepath.Join(dir, "g.v2.bcsr")
-	if err := SaveBinaryV2File(v2Path, g); err != nil {
-		t.Fatalf("SaveBinaryV2File: %v", err)
+	if err := os.WriteFile(v2Path, encodeV2(g), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	loaded, err := LoadBinaryV2File(v2Path)
 	if err != nil {
@@ -212,7 +238,7 @@ func TestOpenShardedFile(t *testing.T) {
 		if sf.NumVertices() != 400 || sf.NumEdges() != g.NumEdges() || sf.Shards() != tc.k {
 			t.Fatalf("%s: shape %d/%d/%d", tc.name, sf.NumVertices(), sf.NumEdges(), sf.Shards())
 		}
-		_, cut, boundary := v3Audit(g, tc.parts)
+		cut, boundary := v3Totals(g, tc.parts)
 		if sf.CutEdges() != cut || sf.Boundary() != boundary {
 			t.Fatalf("%s: totals (%d,%d), want (%d,%d)", tc.name, sf.CutEdges(), sf.Boundary(), cut, boundary)
 		}
@@ -322,13 +348,41 @@ func TestOpenShardedFileRejectsCorruption(t *testing.T) {
 	if !failed {
 		t.Error("section corruption never detected by MapShard")
 	}
-	// The boundary blocks are never mapped; the copying reader audits
-	// them (len(img)-65 lies in the last shard's boundary block).
-	if _, _, err := LoadBinaryV3File(flip(t, len(img)-65)); err == nil {
+	// An older file's boundary blocks are never mapped, but the copying
+	// reader still CRC-checks them.
+	old := legacyBytes(t, "legacy-v3-4shard.bcsr")
+	oldSF, err := OpenShardedFile(legacyPath("legacy-v3-4shard.bcsr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := oldSF.meta.dir[oldSF.Shards()-1]
+	oldSF.Close()
+	if d.nBoundary == 0 {
+		t.Fatal("the old fixture's last shard should carry a boundary block")
+	}
+	old[d.bndOff+8] ^= 0x20
+	p := filepath.Join(t.TempDir(), "old-bad.bcsr")
+	if err := os.WriteFile(p, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadBinaryV3File(p); err == nil {
 		t.Error("boundary-block corruption accepted by the copying reader")
 	}
+	badSF, err := OpenShardedFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < badSF.Shards(); s++ {
+		sm, err := badSF.MapShard(s)
+		if err != nil {
+			t.Errorf("MapShard(%d) read a boundary block: %v", s, err)
+			continue
+		}
+		sm.Close()
+	}
+	badSF.Close()
 	// Truncated file fails at open.
-	p := filepath.Join(t.TempDir(), "trunc.bcsr")
+	p = filepath.Join(t.TempDir(), "trunc.bcsr")
 	if err := os.WriteFile(p, img[:len(img)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -342,16 +396,9 @@ func TestOpenShardedFileRejectsCorruption(t *testing.T) {
 // double-Close hazard: racing Closes must never reach a second munmap.
 // Run under -race this also proves the arbitration is data-race free.
 func TestMappedCSRConcurrentClose(t *testing.T) {
-	g := v3TestGraph(t, 100, 600, 23)
-	path := filepath.Join(t.TempDir(), "g.bcsr")
-	if err := SaveBinaryV2File(path, g); err != nil {
-		t.Fatalf("SaveBinaryV2File: %v", err)
-	}
+	path := writeOneShard(t, v3TestGraph(t, 100, 600, 23))
 	for round := 0; round < 20; round++ {
-		m, err := MapBinaryFile(path)
-		if err != nil {
-			t.Fatalf("MapBinaryFile: %v", err)
-		}
+		m := mapOneShard(t, path)
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
 			wg.Add(1)
@@ -395,5 +442,35 @@ func TestShardMapConcurrentClose(t *testing.T) {
 	}
 	if st := sf.Stats(); st.ResidentBytes != 0 {
 		t.Fatalf("resident bytes %d after all maps closed", st.ResidentBytes)
+	}
+}
+
+// TestSumDescents holds the fused checksum-and-count pass to
+// crc32.Checksum and a plain descent count, across chunk boundaries
+// and on bytes it cannot alias (an odd start address).
+func TestSumDescents(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{0, 1, 2, 8191, 8192, 8193, 3*8192 + 5} {
+		es := make([]VertexID, n)
+		for i := range es {
+			es[i] = VertexID(rng.Intn(50))
+		}
+		raw := make([]byte, 1+4*n)
+		for i, e := range es {
+			binary.LittleEndian.PutUint32(raw[1+4*i:], e)
+		}
+		want := 0
+		for i := 1; i < n; i++ {
+			if es[i] < es[i-1] {
+				want++
+			}
+		}
+		aligned := append([]byte(nil), raw[1:]...)
+		for label, b := range map[string][]byte{"aligned": aligned, "unaligned": raw[1:]} {
+			sum, desc := sumDescents(b)
+			if sum != crc32.Checksum(b, crcTable) || desc != want {
+				t.Fatalf("n=%d %s: sum %#x desc %d, want %#x and %d", n, label, sum, desc, crc32.Checksum(b, crcTable), want)
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"path/filepath"
 	"slices"
 	"testing"
 )
@@ -35,29 +34,15 @@ func TestSymmetryRecord(t *testing.T) {
 		}
 	}
 
-	var v1, v2 bytes.Buffer
-	if err := WriteBinary(&v1, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBinaryV2(&v2, g); err != nil {
-		t.Fatal(err)
-	}
-	r1, err := ReadBinary(&v1)
+	r1, err := ReadBinary(bytes.NewReader(encodeV1(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ReadBinaryV2(&v2)
+	r2, err := ReadBinaryV2(bytes.NewReader(encodeV2(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "g.bcsr")
-	if err := SaveBinaryV2File(path, g); err != nil {
-		t.Fatal(err)
-	}
-	m, err := MapBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mapOneShard(t, writeOneShard(t, g))
 	defer m.Close()
 	r3, _, err := LoadBinaryV3File(writeV3File(t, g, rangeParts(g.NumVertices(), 2), 2, 0))
 	if err != nil {
@@ -71,7 +56,7 @@ func TestSymmetryRecord(t *testing.T) {
 		"Clone":                 g.Clone(),
 		"ReadBinary":            r1,
 		"ReadBinaryV2":          r2,
-		"MapBinaryFile":         m.Graph(),
+		"MapCSR":                m.Graph(),
 		"LoadBinaryV3File":      r3,
 		"FromDirectedEdgeList":  directed,
 		"literal":               {Offsets: []int64{0, 1, 2}, Edges: []VertexID{1, 0}},

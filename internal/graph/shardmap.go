@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -14,9 +15,11 @@ import (
 // read and fully verified at open and stay resident — O(V) for the
 // parts array — while shard payloads are mapped on demand via MapShard
 // and retired again, so a streaming run's peak memory is bounded by the
-// shards it keeps mapped rather than the whole graph. The boundary
-// blocks are never mapped: only the copying reader (LoadBinaryV3File,
-// Materialize) reads and audits them.
+// shards it keeps mapped rather than the whole graph. A one-shard file
+// is also the zero-copy in-core format: MapCSR maps its only shard and
+// uses the sections as the CSR in place. A multi-shard file colors in
+// core through Materialize's copy. Older files' boundary blocks are
+// never mapped; only the copying reader reads (and ignores) them.
 // All methods are safe for concurrent use; the residency counters are
 // the instrumentation the bounded-residency invariant test asserts on.
 type ShardedFile struct {
@@ -114,11 +117,6 @@ func (sf *ShardedFile) Strategy() uint32 { return sf.hdr.strategy }
 // partition-cache key.
 func (sf *ShardedFile) SourceHash() uint64 { return sf.hdr.sourceHash }
 
-// EdgesSorted reports whether the source adjacency was sorted ascending
-// (recorded at write time; lets the streamed attempt break at u>v
-// exactly like the in-core engine).
-func (sf *ShardedFile) EdgesSorted() bool { return sf.hdr.sorted() }
-
 // Parts returns the persisted partition assignment. The slice is the
 // handle's resident copy — callers must not mutate it.
 func (sf *ShardedFile) Parts() []int32 { return sf.meta.parts }
@@ -204,6 +202,7 @@ type ShardMap struct {
 	VMap    []VertexID
 
 	contig bool // VMap is one contiguous ID range: LocalIndex is O(1)
+	sorted bool // every adjacency list is ascending (counted at map time)
 }
 
 // MapShard maps shard s's offsets+edges+vmap sections (one contiguous
@@ -226,7 +225,8 @@ func (sf *ShardedFile) MapShard(s int) (*ShardMap, error) {
 	offB := view[:(d.nvLocal+1)*8]
 	edgeB := view[d.edgesOff-d.offsetsOff:][:d.neLocal*4]
 	vmapB := view[d.vmapOff-d.offsetsOff:][:d.nvLocal*4]
-	if sumA := uint64(crc32.Checksum(offB, crcTable))<<32 | uint64(crc32.Checksum(edgeB, crcTable)); sumA != d.sumA {
+	edgeSum, desc := sumDescents(edgeB)
+	if sumA := uint64(crc32.Checksum(offB, crcTable))<<32 | uint64(edgeSum); sumA != d.sumA {
 		releaseLoad(mapping)
 		return nil, fmt.Errorf("graph: v3 shard %d section checksum mismatch", s)
 	}
@@ -247,15 +247,12 @@ func (sf *ShardedFile) MapShard(s int) (*ShardMap, error) {
 		} else {
 			sm.VMap = []VertexID{}
 		}
-		if err := validateShardSections(s, sf.hdr.nv, sf.meta.parts, sm.Offsets, sm.Edges, sm.VMap, d); err != nil {
+		if sm.sorted, err = validateShardSections(s, sf.hdr.nv, sf.meta.parts, sm.Offsets, sm.Edges, sm.VMap, desc); err != nil {
 			releaseLoad(mapping)
 			return nil, err
 		}
-	} else {
-		var err error
-		if sm.Offsets, sm.Edges, sm.VMap, err = decodeV3Shard(s, d, sf.hdr.nv, sf.meta.parts, offB, edgeB, vmapB); err != nil {
-			return nil, err
-		}
+	} else if sm.Offsets, sm.Edges, sm.VMap, sm.sorted, err = decodeV3Shard(s, d, sf.hdr.nv, sf.meta.parts, offB, edgeB, vmapB, desc); err != nil {
+		return nil, err
 	}
 	n := len(sm.VMap)
 	sm.contig = n > 0 && int(sm.VMap[n-1]-sm.VMap[0]) == n-1
@@ -270,35 +267,54 @@ func releaseLoad(mapping []byte) {
 	}
 }
 
-// validateShardSections checks the invariants decodeV3Shard enforces,
-// over already-typed (aliased) sections.
-func validateShardSections(s int, nv uint64, parts []int32, offsets []int64, edges, vmap []VertexID, d *v3ShardDir) error {
-	if offsets[0] != 0 {
-		return fmt.Errorf("graph: v3 shard %d offsets start at %d", s, offsets[0])
-	}
-	for i := 1; i < len(offsets); i++ {
-		if offsets[i] < offsets[i-1] {
-			return fmt.Errorf("graph: v3 shard %d offsets decrease at %d", s, i)
+// sumDescents returns the CRC32-C of an edges section as stored and
+// the number of its entries below their predecessor (see descents). It
+// reads the section once, in chunks small enough that the count finds
+// each chunk still in cache after the checksum has read it.
+func sumDescents(b []byte) (sum uint32, desc int) {
+	const chunk = 32 << 10 // bytes; a multiple of 4
+	direct := hostLittleEndian() && uintptr(unsafe.Pointer(unsafe.SliceData(b)))%4 == 0
+	var buf []VertexID // the decoded chunk when b cannot be aliased
+	var prev VertexID
+	for lo := 0; lo < len(b); lo += chunk {
+		c := b[lo:min(lo+chunk, len(b))]
+		sum = crc32.Update(sum, crcTable, c)
+		es := buf[:0]
+		if direct {
+			es = unsafe.Slice((*VertexID)(unsafe.Pointer(&c[0])), len(c)/4)
+		} else {
+			for i := 0; i+4 <= len(c); i += 4 {
+				es = append(es, binary.LittleEndian.Uint32(c[i:]))
+			}
+			buf = es
 		}
-	}
-	if offsets[len(offsets)-1] != int64(d.neLocal) {
-		return fmt.Errorf("graph: v3 shard %d offsets end at %d (directory claims %d entries)",
-			s, offsets[len(offsets)-1], d.neLocal)
-	}
-	for _, e := range edges {
-		if uint64(e) >= nv {
-			return fmt.Errorf("graph: v3 shard %d edge destination %d out of range", s, e)
+		if lo > 0 && es[0] < prev {
+			desc++
 		}
+		desc += descents(es)
+		prev = es[len(es)-1]
+	}
+	return sum, desc
+}
+
+// validateShardSections checks one shard's typed sections: its lists
+// pass checkLists against the global vertex count (desc counts the
+// edges' descents, as sumDescents returns it), and the vertex map is
+// strictly ascending over shard s's vertices. It reports whether every
+// adjacency list is ascending.
+func validateShardSections(s int, nv uint64, parts []int32, offsets []int64, edges, vmap []VertexID, desc int) (sorted bool, err error) {
+	if sorted, err = checkLists(offsets, edges, nv, desc); err != nil {
+		return false, fmt.Errorf("graph: v3 shard %d %w", s, err)
 	}
 	for i, v := range vmap {
 		if uint64(v) >= nv || parts[v] != int32(s) {
-			return fmt.Errorf("graph: v3 shard %d vmap entry %d not a shard vertex", s, v)
+			return false, fmt.Errorf("graph: v3 shard %d vmap entry %d not a shard vertex", s, v)
 		}
 		if i > 0 && v <= vmap[i-1] {
-			return fmt.Errorf("graph: v3 shard %d vmap not strictly ascending at %d", s, i)
+			return false, fmt.Errorf("graph: v3 shard %d vmap not strictly ascending at %d", s, i)
 		}
 	}
-	return nil
+	return sorted, nil
 }
 
 // LocalIndex translates a global vertex ID to its local index in this
@@ -329,6 +345,10 @@ func (sm *ShardMap) Neighbors(i int) []VertexID {
 // Mapped reports whether a real mmap backs the sections (false on the
 // pread-copy fallback).
 func (sm *ShardMap) Mapped() bool { return sm.mapping != nil }
+
+// Sorted reports whether every adjacency list in the shard ascends, as
+// MapShard counted it from the data.
+func (sm *ShardMap) Sorted() bool { return sm.sorted }
 
 // Close retires the shard's sections: MADV_DONTNEED + munmap on the
 // mapped path, and in either case the bytes leave the residency
@@ -364,4 +384,74 @@ func (sf *ShardedFile) Materialize() (*CSR, error) {
 			meta.SourceHash, sf.hdr.sourceHash)
 	}
 	return g, nil
+}
+
+// MappedCSR is the in-core graph of a one-shard BCSR v3 file: its
+// Offsets and Edges are shard 0's sections, aliased in place (or
+// pread-copied where mapping is unavailable). Close releases the shard;
+// using the graph after Close is a use-after-free, so Graph panics
+// once closed.
+type MappedCSR struct {
+	g     *CSR
+	sm    *ShardMap
+	close closeOnce
+}
+
+// MapCSR maps the only shard of a one-shard file and returns it as the
+// whole graph. MapShard's pass has already checked the checksums, the
+// offsets, every destination and the vertex map — which, with one
+// shard covering every vertex, is the identity, so the local offsets
+// are the global ones — and counted the lists' sortedness from the
+// data, which the CSR records (never the header's flag). The shard map
+// is charged to the handle's residency counters until the MappedCSR is
+// closed.
+func (sf *ShardedFile) MapCSR() (*MappedCSR, error) {
+	if sf.Shards() != 1 {
+		return nil, fmt.Errorf("graph: MapCSR needs a one-shard v3 file (this one has %d shards)", sf.Shards())
+	}
+	sm, err := sf.MapShard(0)
+	if err != nil {
+		return nil, err
+	}
+	m := &MappedCSR{g: &CSR{Offsets: sm.Offsets, Edges: sm.Edges}, sm: sm}
+	m.g.recordSorted(sm.sorted)
+	if sm.Mapped() {
+		m.g.backing = m
+	}
+	return m, nil
+}
+
+// MapCSRFile opens a one-shard v3 file and maps its CSR. The shard map
+// holds its own mapping, so the file handle closes at once.
+func MapCSRFile(path string) (*MappedCSR, error) {
+	sf, err := OpenShardedFile(path)
+	if err != nil {
+		return nil, err
+	}
+	defer sf.Close()
+	return sf.MapCSR()
+}
+
+// Graph returns the graph view. The returned *CSR aliases the mapping
+// (when Mapped) and is valid only until Close.
+func (m *MappedCSR) Graph() *CSR {
+	if m.close.done() {
+		panic("graph: MappedCSR used after Close")
+	}
+	return m.g
+}
+
+// Mapped reports whether the payload aliases an mmap'd region (false
+// on the pread-copy fallback).
+func (m *MappedCSR) Mapped() bool { return m.g.backing != nil }
+
+// Close unmaps the shard and invalidates the graph view. Idempotent,
+// including under concurrent double-Close: only the first caller
+// releases the shard.
+func (m *MappedCSR) Close() error {
+	if !m.close.first() {
+		return nil
+	}
+	m.g.Offsets, m.g.Edges = nil, nil
+	return m.sm.Close()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -246,32 +245,17 @@ func TestSortednessRecordedOnLoad(t *testing.T) {
 	if !g.SortednessKnown() || !g.EdgesSorted() {
 		t.Fatal("FromEdgeList did not record sorted")
 	}
-	dir := t.TempDir()
 	for _, c := range []struct {
 		name   string
 		g      *CSR
 		sorted bool
 	}{{"sorted", g, true}, {"unsorted", reversed(g), false}} {
-		var v1, v2 bytes.Buffer
-		if err := WriteBinary(&v1, c.g); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteBinaryV2(&v2, c.g); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, c.name+".bcsr")
-		if err := SaveBinaryV2File(path, c.g); err != nil {
-			t.Fatal(err)
-		}
-		m, err := MapBinaryFile(path)
+		m := mapOneShard(t, writeOneShard(t, c.g))
+		r1, err := ReadBinary(bytes.NewReader(encodeV1(c.g)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, err := ReadBinary(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := ReadBinaryV2(bytes.NewReader(v2.Bytes()))
+		r2, err := ReadBinaryV2(bytes.NewReader(encodeV2(c.g)))
 		if err != nil {
 			t.Fatal(err)
 		}

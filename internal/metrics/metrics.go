@@ -234,10 +234,6 @@ type RunStats struct {
 	PeakMappedBytes int64
 }
 
-// ParallelStats is the former name of RunStats, kept as an alias for the
-// host-parallel engines' original API surface.
-type ParallelStats = RunStats
-
 // TotalVertices sums the per-worker speculation counts.
 func (s RunStats) TotalVertices() int64 {
 	var sum int64

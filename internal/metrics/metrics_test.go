@@ -56,7 +56,7 @@ func TestMean(t *testing.T) {
 }
 
 func TestParallelStats(t *testing.T) {
-	s := ParallelStats{
+	s := RunStats{
 		Workers:           4,
 		Rounds:            3,
 		ConflictsFound:    12,
@@ -77,7 +77,7 @@ func TestParallelStats(t *testing.T) {
 	if s.String() == "" {
 		t.Fatal("empty String")
 	}
-	var zero ParallelStats
+	var zero RunStats
 	if zero.Imbalance() != 0 || zero.TotalVertices() != 0 {
 		t.Fatal("zero stats not handled")
 	}

@@ -481,8 +481,8 @@ func (o *Observer) RecordStage(stage string, d time.Duration, cancelled bool) {
 
 // RecordGraphLoad folds one graph load into the metric families. format
 // is the sniffed on-disk format label ("edgelist", "bcsr-v1", "bcsr-v2",
-// "bcsr-v2-mapped", "dimacs"), bytes the file size (<=0 when unknown or
-// the load failed before stat).
+// "bcsr-v3", "bcsr-v3-mapped", "dimacs"), bytes the file size (<=0 when
+// unknown or the load failed before stat).
 func (o *Observer) RecordGraphLoad(format string, bytes int64, d time.Duration, err error) {
 	if o == nil {
 		return

@@ -47,13 +47,6 @@ type Assignment struct {
 	K     int
 }
 
-// FrontierMask returns the sharded engine's frontier mask for this
-// assignment (see graph.FrontierMask): the vertices the interior pass
-// defers to the bounded second phase.
-func (a *Assignment) FrontierMask(g *graph.CSR) []bool {
-	return graph.FrontierMask(g, a.Parts)
-}
-
 // Validate checks ranges.
 func (a *Assignment) Validate() error {
 	if a.K <= 0 {

@@ -193,10 +193,7 @@ func TestColorHandleOutOfCore(t *testing.T) {
 		t.Fatalf("non-sharded out-of-core run: %v", err)
 	}
 	// And a v3 handle: a v2-backed handle must refuse OutOfCore.
-	v2 := filepath.Join(t.TempDir(), "ef2.bcsr")
-	if err := SaveGraphV2(v2, g); err != nil {
-		t.Fatal(err)
-	}
+	v2 := legacyFixture("legacy-v2.bcsr")
 	h2, err := OpenGraphFile(v2)
 	if err != nil {
 		t.Fatal(err)

@@ -187,25 +187,6 @@ func TestColorContextCancelEveryEngine(t *testing.T) {
 	}
 }
 
-// TestColorParallelRegistryGating checks ColorParallel's accept/reject
-// set now derives from the registry's Parallel flag.
-func TestColorParallelRegistryGating(t *testing.T) {
-	g := pipelineGraph(t)
-	res, st, err := ColorParallel(g, ColorOptions{Engine: EngineJonesPlassmann, Workers: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(g, res.Colors); err != nil {
-		t.Fatal(err)
-	}
-	if st.Workers < 1 || st.Rounds < 1 {
-		t.Fatalf("JP stats missing: %+v", st)
-	}
-	if _, _, err := ColorParallel(g, ColorOptions{Engine: EngineLubyMIS}); err == nil {
-		t.Fatal("ColorParallel accepted a sequential engine")
-	}
-}
-
 // TestEngineInfoMetadata spot-checks the registry metadata surfaced on
 // the public Engine type.
 func TestEngineInfoMetadata(t *testing.T) {
