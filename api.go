@@ -654,10 +654,23 @@ func ColorContext(ctx context.Context, g *Graph, opts ColorOptions) (*Result, Ru
 		return nil, RunStats{}, fmt.Errorf("bitcolor: unknown engine %v", opts.Engine)
 	}
 	res, st, err := info.Run(ctx, g, opts.engineOptions())
+	return verified(opts, g, nil, res, st, err)
+}
+
+// verified checks a finished run's coloring against g, or against the
+// shard file sf of a streamed run, and wraps a failure with the engine's
+// name; a run that already failed passes through.
+func verified(opts ColorOptions, g *Graph, sf *graph.ShardedFile, res *Result, st RunStats, err error) (*Result, RunStats, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	if err := coloring.VerifyParallel(g, res.Colors, verifyWorkers(opts, st)); err != nil {
+	workers := verifyWorkers(opts, st)
+	if sf != nil {
+		err = coloring.VerifyShardedParallel(sf, res.Colors, workers)
+	} else {
+		err = coloring.VerifyParallel(g, res.Colors, workers)
+	}
+	if err != nil {
 		return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", opts.Engine, err)
 	}
 	return res, st, nil
@@ -715,13 +728,7 @@ func ColorHandleContext(ctx context.Context, h *GraphHandle, opts ColorOptions) 
 		res, st, err := info.Run(ctx, nil, eopts)
 		after := h.sf.Stats()
 		o.RecordShardMap(after.Maps-before.Maps, after.Unmaps-before.Unmaps, after.PeakResidentBytes)
-		if err != nil {
-			return nil, st, err
-		}
-		if err := coloring.VerifyShardedParallel(h.sf, res.Colors, verifyWorkers(opts, st)); err != nil {
-			return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", opts.Engine, err)
-		}
-		return res, st, nil
+		return verified(opts, nil, h.sf, res, st, err)
 	}
 	g := h.Graph()
 	if sharded && h.sf != nil {
@@ -734,13 +741,7 @@ func ColorHandleContext(ctx context.Context, h *GraphHandle, opts ColorOptions) 
 			eopts := opts.engineOptions()
 			eopts.Partition = a
 			res, st, err := info.Run(ctx, g, eopts)
-			if err != nil {
-				return nil, st, err
-			}
-			if err := coloring.VerifyParallel(g, res.Colors, verifyWorkers(opts, st)); err != nil {
-				return nil, st, fmt.Errorf("bitcolor: engine %v produced an invalid coloring: %w", opts.Engine, err)
-			}
-			return res, st, nil
+			return verified(opts, g, nil, res, st, err)
 		}
 	}
 	return ColorContext(ctx, g, opts)

@@ -11,6 +11,7 @@ package coloring
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bitcolor/internal/exec"
 )
@@ -68,15 +69,21 @@ func (s OpStats) Total() int64 {
 // Stage1Ops returns the combined Stage-1 cost (scan + clear).
 func (s OpStats) Stage1Ops() int64 { return s.Stage1ScanOps + s.Stage1ClearOps }
 
-// countColors returns the number of distinct nonzero colors.
+// countColors returns the number of distinct nonzero colors. It marks
+// every color in a 65,536-bit set on the stack (8 KiB, no heap
+// allocation, no branch per vertex) and counts the set bits, color 0
+// ("uncolored") excepted.
 func countColors(colors []uint16) int {
-	seen := make(map[uint16]struct{})
+	var seen [1 << 16 / 64]uint64
 	for _, c := range colors {
-		if c != 0 {
-			seen[c] = struct{}{}
-		}
+		seen[c>>6] |= 1 << (c & 63)
 	}
-	return len(seen)
+	seen[0] &^= 1
+	count := 0
+	for _, w := range seen {
+		count += bits.OnesCount64(w)
+	}
+	return count
 }
 
 // MaxColor returns the largest color number used (0 if none).

@@ -495,26 +495,26 @@ func BenchmarkGreedyBitwise(b *testing.B) {
 
 func TestSpeculativeProper(t *testing.T) {
 	g := randomGraph(t, 800, 8000, 13)
-	res, rounds, err := Speculative(context.Background(), g, MaxColorsDefault, 8)
+	res, st, err := SpeculativeOpts(context.Background(), g, MaxColorsDefault, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := Verify(g, res.Colors); err != nil {
 		t.Fatal(err)
 	}
-	if rounds < 1 {
-		t.Fatalf("rounds = %d", rounds)
+	if st.Rounds < 1 {
+		t.Fatalf("rounds = %d", st.Rounds)
 	}
 }
 
 func TestSpeculativeSingleWorkerEqualsGreedy(t *testing.T) {
 	g := randomGraph(t, 300, 2000, 14)
-	res, rounds, err := Speculative(context.Background(), g, MaxColorsDefault, 1)
+	res, st, err := SpeculativeOpts(context.Background(), g, MaxColorsDefault, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds != 1 {
-		t.Fatalf("single worker needed %d rounds", rounds)
+	if st.Rounds != 1 {
+		t.Fatalf("single worker needed %d rounds", st.Rounds)
 	}
 	want, _ := Greedy(context.Background(), g, MaxColorsDefault)
 	for v := range want.Colors {
@@ -526,7 +526,7 @@ func TestSpeculativeSingleWorkerEqualsGreedy(t *testing.T) {
 
 func TestSpeculativeStats(t *testing.T) {
 	g := randomGraph(t, 800, 8000, 13)
-	res, st, err := SpeculativeStats(context.Background(), g, MaxColorsDefault, 8)
+	res, st, err := SpeculativeOpts(context.Background(), g, MaxColorsDefault, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -548,16 +548,16 @@ func TestSpeculativeStats(t *testing.T) {
 
 func TestSpeculativePaletteExhausted(t *testing.T) {
 	tri, _ := graph.FromEdgeList(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}})
-	if _, _, err := Speculative(context.Background(), tri, 2, 2); !errors.Is(err, ErrPaletteExhausted) {
+	if _, _, err := SpeculativeOpts(context.Background(), tri, 2, Options{Workers: 2}); !errors.Is(err, ErrPaletteExhausted) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestSpeculativeEmptyGraph(t *testing.T) {
 	g, _ := graph.FromEdgeList(0, nil)
-	res, rounds, err := Speculative(context.Background(), g, 4, 4)
-	if err != nil || rounds != 0 || len(res.Colors) != 0 {
-		t.Fatalf("empty: %v %d", err, rounds)
+	res, st, err := SpeculativeOpts(context.Background(), g, 4, Options{Workers: 4})
+	if err != nil || st.Rounds != 0 || len(res.Colors) != 0 {
+		t.Fatalf("empty: %v %d", err, st.Rounds)
 	}
 }
 

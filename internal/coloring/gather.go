@@ -172,14 +172,6 @@ func (ga *gather) init(shared []uint32, hotVertices int, sh *obs.Shard) {
 	*ga = gather{shared: shared, vt: vt, lastBlock: -1, sh: sh}
 }
 
-// newGather is init on a fresh heap gather, for engines without pooled
-// per-worker scratch.
-func newGather(shared []uint32, hotVertices int, sh *obs.Shard) *gather {
-	ga := new(gather)
-	ga.init(shared, hotVertices, sh)
-	return ga
-}
-
 // tally adds one colored vertex's gather counts to the worker's shard:
 // the DCT kernels' once-per-vertex replacement for load's per-read
 // counting. adj is v's list and k the kernel's PUV break index

@@ -134,7 +134,7 @@ func BitwiseGreedyScratch(ctx context.Context, g *graph.CSR, maxColors int, prun
 	}
 	n := g.NumVertices()
 	colors := sc.colorsBuf(n)
-	wsc := sc.workerAt(0, maxColors)
+	wsc := sc.lanes(1, maxColors)[0]
 	codec, state := wsc.codec, wsc.state
 	var st OpStats
 	for v := 0; v < n; v++ {
@@ -164,7 +164,7 @@ func BitwiseGreedyScratch(ctx context.Context, g *graph.CSR, maxColors int, prun
 		st.Stage2Ops++
 		colors[v] = result
 	}
-	return sc.result(colors, sc.distinctColors(colors), st), nil
+	return sc.result(colors, countColors(colors), st), nil
 }
 
 // GreedyOrdered colors vertices in the given order with the bit-wise

@@ -2,7 +2,6 @@ package coloring
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync/atomic"
 
@@ -12,13 +11,13 @@ import (
 	"bitcolor/internal/obs"
 )
 
-// ParallelBitwise fuses the paper's bit-wise color-state determination
+// ParallelBitwiseOpts fuses the paper's bit-wise color-state determination
 // (Algorithm 2: first free color = (^state)&(state+1) over a BitSet) into
 // a speculative shared-memory parallel framework — the fastest host-side
 // formulation this repo implements, and the multicore reference number
 // the accelerator's speedup claims are measured against.
 //
-// Three design points distinguish it from Speculative (classic
+// Three design points distinguish it from SpeculativeOpts (classic
 // Gebremedhin–Manne with a flag-array scan):
 //
 //   - Bit-wise Stage 1. Each worker keeps one reusable BitSet as its
@@ -45,19 +44,13 @@ import (
 // pending buffers, per-worker repair queues, the pending-epoch array) is
 // allocated once up front and reused across sweeps.
 //
-// Returns the verified-proper result and per-run parallel statistics.
-func ParallelBitwise(ctx context.Context, g *graph.CSR, maxColors int, workers int) (*Result, metrics.RunStats, error) {
-	return ParallelBitwiseOpts(ctx, g, maxColors, Options{MaxColors: maxColors, Workers: workers})
-}
-
-// ParallelBitwiseOpts is ParallelBitwise with the full option set: worker
-// count, the blocked color-gather toggle (on by default — the paper's
-// MGR+HDC memory path in software) and the hot-tier threshold. On a
-// DBG-reordered, edge-sorted graph the gather additionally applies PUV
-// tail-skipping during speculation: adjacency is sorted ascending and
-// processing order is the vertex index, so the first neighbor index above
-// the current vertex starts the still-uncolored tail and the scan stops
-// there. Repair sweeps always see every neighbor.
+// Options supply the worker count, the blocked color-gather toggle (on by
+// default — the paper's MGR+HDC memory path in software) and the hot-tier
+// threshold. On a DBG-reordered, edge-sorted graph the gather
+// additionally applies PUV tail-skipping during speculation: adjacency is
+// sorted ascending and processing order is the vertex index, so the first
+// neighbor index above the current vertex starts the still-uncolored tail
+// and the scan stops there. Repair sweeps always see every neighbor.
 //
 // Cancellation is polled at block-claim granularity (one ctx.Err() per
 // exec.DispatchBlock vertices — the per-edge hot path never sees it) and at
@@ -69,51 +62,28 @@ func ParallelBitwiseOpts(ctx context.Context, g *graph.CSR, maxColors int, opts 
 		return nil, metrics.RunStats{}, err
 	}
 	n := g.NumVertices()
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n && n > 0 {
-		workers = n
-	}
+	workers := resolveWorkers(opts.Workers, n)
 	sc := opts.Scratch
 	if !sc.fits("parallelbitwise", workers) {
 		sc = nil
 	}
-	// Per-worker hot-path counters live in cache-line-padded shards; the
-	// fold into RunStats happens once, after the worker goroutines join.
-	// Handing them to the run record arms their atomic live mirrors so
-	// /debug/runs can read mid-run progress (nil-safe no-op otherwise).
-	ss := sc.shardSet(workers)
-	opts.Run.AttachShards(ss)
+	// Colors live in 32-bit words accessed atomically: speculation reads
+	// neighbor colors mid-flight by design, and atomics keep those races
+	// well-defined under the Go memory model. Each lane holds one
+	// color-state BitSet + codec, one gather view and one repair queue.
+	f := newFrame(opts, sc, n, workers, maxColors, 0)
+	f.gather, f.gatherAuto = gatherDecision(g, opts)
+	f.blocks = true
 	st := metrics.RunStats{Workers: workers}
-	useGather, gatherAuto := gatherDecision(g, opts)
-	foldStats := func() {
-		st.VerticesPerWorker = ss.PerWorkerInto(obs.CtrVertices, sc.perWorkerBuf(0, workers))
-		st.BlocksPerWorker = ss.PerWorkerInto(obs.CtrBlocks, sc.perWorkerBuf(1, workers))
-		st.ConflictsFound = ss.Total(obs.CtrConflictsFound)
-		st.ConflictsRepaired = ss.Total(obs.CtrConflictsRepaired)
-		st.Gather = metrics.GatherStats{
-			HotReads:       ss.Total(obs.CtrHotReads),
-			MergedReads:    ss.Total(obs.CtrMergedReads),
-			ColdBlockLoads: ss.Total(obs.CtrColdBlockLoads),
-			PrunedTail:     ss.Total(obs.CtrPrunedTail),
-			AutoDisabled:   gatherAuto,
-		}
-	}
 	if n == 0 {
-		foldStats()
-		return &Result{Colors: nil, NumColors: 0}, st, nil
+		f.fold(&st)
+		return &Result{}, st, nil
 	}
 	// esp is the enclosing engine span (nil without an observer; every
 	// span method is a no-op then). Spans are touched only at phase and
 	// sweep boundaries, never inside the per-block or per-edge loops.
 	esp := opts.Span
-
-	// Colors live in 32-bit words accessed atomically: speculation reads
-	// neighbor colors mid-flight by design, and atomics keep those races
-	// well-defined under the Go memory model.
-	shared := sc.sharedBuf(n)
+	shared, useGather := f.shared, f.gather
 
 	// Descending-degree processing order: on a DBG-preprocessed graph this
 	// is the identity (detected in O(n) to skip the sort), on raw graphs
@@ -148,21 +118,6 @@ func ParallelBitwiseOpts(ctx context.Context, g *graph.CSR, maxColors int, opts 
 	// per-neighbor rank probe — the software rendering of the paper's
 	// "stop at the first destination above the current vertex".
 	puv := useGather && sorted && g.EdgesSorted()
-
-	// Per-worker reusable scratch: one color-state BitSet + codec, one
-	// gather view, and one repair queue each (pooled across runs when a
-	// Scratch backs the call). Nothing below allocates in steady state.
-	ws := make([]*workerScratch, workers)
-	for w := range ws {
-		s := sc.workerAt(w, maxColors)
-		sh := ss.Shard(w)
-		s.sh = sh
-		s.ga.init(shared, opts.HotVertices, sh)
-		ws[w] = s
-	}
-	if useGather {
-		st.HotThreshold = ws[0].ga.vt
-	}
 
 	// firstFit assigns the lowest color not used by any neighbor of v,
 	// reading neighbor colors atomically. prune skips neighbors scheduled
@@ -216,7 +171,7 @@ func ParallelBitwiseOpts(ctx context.Context, g *graph.CSR, maxColors int, opts 
 	var cur exec.BlockCursor
 	cur.Reset(n)
 	specErr := exec.Blocks(ctx, workers, &cur, func(w, lo, hi int) error {
-		s := ws[w]
+		s := f.ws[w]
 		s.sh.Inc(obs.CtrBlocks)
 		s.sh.Add(obs.CtrVertices, int64(hi-lo))
 		for _, v := range order[lo:hi] {
@@ -227,9 +182,9 @@ func ParallelBitwiseOpts(ctx context.Context, g *graph.CSR, maxColors int, opts 
 		s.sh.PublishAll() // live-progress checkpoint, once per block
 		return nil
 	})
-	ssp.Attr("blocks", ss.Total(obs.CtrBlocks)).End()
+	ssp.Attr("blocks", f.ss.Total(obs.CtrBlocks)).End()
 	if specErr != nil {
-		foldStats()
+		f.fold(&st)
 		return nil, st, specErr
 	}
 
@@ -270,31 +225,18 @@ func ParallelBitwiseOpts(ctx context.Context, g *graph.CSR, maxColors int, opts 
 			// every conflicting cluster; this guards future regressions.
 			panic("coloring: parallel bitwise coloring failed to converge")
 		}
-		// Round telemetry: the snapshot/delta work runs only with a live
-		// observer; sweeps under a nil observer skip it entirely.
-		var (
-			rsp                       *obs.Span
-			foundBefore, repairBefore int64
-			blocksBefore              []int64
-		)
-		if esp != nil {
-			foundBefore = ss.Total(obs.CtrConflictsFound)
-			repairBefore = ss.Total(obs.CtrConflictsRepaired)
-			blocksBefore = ss.PerWorker(obs.CtrBlocks)
-			rsp = esp.Child("round").Attr("round", int64(st.Rounds)).
-				Attr("pending", int64(len(pending)))
-		}
+		rsp := f.openSweep(esp, st.Rounds, len(pending))
 		for _, v := range pending {
 			pendingEpoch[v] = sweep
 		}
 		cur.Reset(len(pending))
 		// The repair queues are per-sweep and a worker can run many blocks
 		// per sweep, so the reset happens here, not inside the block body.
-		for _, s := range ws {
+		for _, s := range f.ws {
 			s.next = s.next[:0]
 		}
 		sweepErr := exec.Blocks(ctx, workers, &cur, func(w, lo, hi int) error {
-			s := ws[w]
+			s := f.ws[w]
 			s.sh.Inc(obs.CtrBlocks)
 			for _, v := range pending[lo:hi] {
 				cv := atomic.LoadUint32(&shared[v])
@@ -324,45 +266,19 @@ func ParallelBitwiseOpts(ctx context.Context, g *graph.CSR, maxColors int, opts 
 		// Collect the re-colored vertices as the next sweep's pending set.
 		pending = pending[:0]
 		if sweepErr == nil {
-			for _, s := range ws {
+			for _, s := range f.ws {
 				pending = append(pending, s.next...)
 			}
 		}
-		if rsp != nil {
-			claims := ss.PerWorker(obs.CtrBlocks)
-			var total, steals int64
-			for w := range claims {
-				claims[w] -= blocksBefore[w]
-				total += claims[w]
-			}
-			fair := (total + int64(workers) - 1) / int64(workers)
-			for _, b := range claims {
-				if b > fair {
-					steals += b - fair
-				}
-			}
-			rsp.Attr("conflicts_found", ss.Total(obs.CtrConflictsFound)-foundBefore).
-				Attr("recolored", ss.Total(obs.CtrConflictsRepaired)-repairBefore).
-				Attr("blocks_per_worker", claims).
-				Attr("steals", steals)
-			if sweepErr != nil {
-				rsp.Attr("cancelled", true)
-			}
-			rsp.End()
-		}
+		f.endSweep(rsp, sweepErr)
 		if sweepErr != nil {
-			foldStats()
+			f.fold(&st)
 			return nil, st, sweepErr
 		}
 		// Deterministic sweep composition despite racy block claims:
 		// sorting keeps the detection order reproducible for tests.
 		sortVertexIDs(pending)
 	}
-	foldStats()
-
-	colors := sc.colorsBuf(n)
-	for i, c := range shared {
-		colors[i] = uint16(c)
-	}
-	return sc.result(colors, sc.distinctColors(colors), OpStats{}), st, nil
+	f.fold(&st)
+	return f.finish(), st, nil
 }

@@ -12,7 +12,7 @@ import (
 
 func TestParallelBitwiseProper(t *testing.T) {
 	g := randomGraph(t, 800, 8000, 13)
-	res, st, err := ParallelBitwise(context.Background(), g, MaxColorsDefault, 8)
+	res, st, err := ParallelBitwiseOpts(context.Background(), g, MaxColorsDefault, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestParallelBitwiseProper(t *testing.T) {
 func TestParallelBitwiseSingleWorkerEqualsBitwise(t *testing.T) {
 	g := randomGraph(t, 300, 2000, 14)
 	h, _ := reorder.DBG(g)
-	res, st, err := ParallelBitwise(context.Background(), h, MaxColorsDefault, 1)
+	res, st, err := ParallelBitwiseOpts(context.Background(), h, MaxColorsDefault, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +59,14 @@ func TestParallelBitwiseSingleWorkerEqualsBitwise(t *testing.T) {
 
 func TestParallelBitwisePaletteExhausted(t *testing.T) {
 	tri, _ := graph.FromEdgeList(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}})
-	if _, _, err := ParallelBitwise(context.Background(), tri, 2, 2); !errors.Is(err, ErrPaletteExhausted) {
+	if _, _, err := ParallelBitwiseOpts(context.Background(), tri, 2, Options{Workers: 2}); !errors.Is(err, ErrPaletteExhausted) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestParallelBitwiseEmptyGraph(t *testing.T) {
 	g, _ := graph.FromEdgeList(0, nil)
-	res, st, err := ParallelBitwise(context.Background(), g, 4, 4)
+	res, st, err := ParallelBitwiseOpts(context.Background(), g, 4, Options{Workers: 4})
 	if err != nil || st.Rounds != 0 || len(res.Colors) != 0 {
 		t.Fatalf("empty: %v %d", err, st.Rounds)
 	}
@@ -103,7 +103,7 @@ func TestParallelBitwiseQualityOnTable3(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, st, err := ParallelBitwise(context.Background(), h, MaxColorsDefault, 4)
+			res, st, err := ParallelBitwiseOpts(context.Background(), h, MaxColorsDefault, Options{Workers: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestParallelBitwiseQualityOnTable3(t *testing.T) {
 func TestParallelBitwiseRaceStress(t *testing.T) {
 	g := randomGraph(t, 500, 12000, 42)
 	for i := 0; i < 10; i++ {
-		res, _, err := ParallelBitwise(context.Background(), g, MaxColorsDefault, 8)
+		res, _, err := ParallelBitwiseOpts(context.Background(), g, MaxColorsDefault, Options{Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func BenchmarkParallelBitwiseInternal(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ParallelBitwise(context.Background(), h, MaxColorsDefault, 0); err != nil {
+		if _, _, err := ParallelBitwiseOpts(context.Background(), h, MaxColorsDefault, Options{Workers: 0}); err != nil {
 			b.Fatal(err)
 		}
 	}

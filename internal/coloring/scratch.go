@@ -12,12 +12,13 @@ import (
 )
 
 // Scratch is an arena of reusable engine state — color buffers, the
-// shared atomic color array, ordering/pending sweeps, per-worker bit
-// sets, codecs, gathers and forwarding rings, the counter shards, and
-// the Result the engine hands back. It exists for the colord request
-// pattern: repeated ColorContext calls against a cached graph should do
-// zero steady-state heap allocation, which testing.AllocsPerRun
-// enforces for the bitwise and dct engines at one worker.
+// shared atomic color array, ordering/pending sweeps, the lanes of the
+// engine frame (each worker's bit set, codec, gather and forwarding
+// ring), the counter shards, and the Result the engine hands back. It
+// exists for the colord request pattern: repeated ColorContext calls
+// against a cached graph should do zero steady-state heap allocation,
+// which testing.AllocsPerRun enforces for the bitwise and dct engines at
+// one worker.
 //
 // A Scratch belongs to one (engine, workers, graph size class) pool
 // slot. Engines accept a mismatched Scratch silently by ignoring it
@@ -40,11 +41,9 @@ type Scratch struct {
 	parts   []int32 // partition assignment vector (sharded engine)
 	perWk   [3][]int64
 	durs    [2][]time.Duration
-	seen    []uint64 // distinct-color bitmap: 65536 bits, lazily built
 	res     Result
 	shards  *obs.ShardSet
-	ws      []*workerScratch
-	rings   *dispatch.RingSet
+	ws      []*workerScratch // the frame's lanes, one per worker goroutine
 }
 
 // scratchKey identifies one pool slot.
@@ -198,21 +197,6 @@ func (s *Scratch) partsBuf(n int) []int32 {
 	return s.parts[:n]
 }
 
-// ringSet returns a reset forwarding-ring set of the given per-ring
-// capacity — the sharded engine's per-(shard, worker) ring storage,
-// retained across runs so steady-state serving builds each ring once.
-func (s *Scratch) ringSet(capacity int) *dispatch.RingSet {
-	if s == nil {
-		return dispatch.NewRingSet(capacity)
-	}
-	if s.rings == nil || s.rings.Cap() != capacity {
-		s.rings = dispatch.NewRingSet(capacity)
-	} else {
-		s.rings.ResetAll()
-	}
-	return s.rings
-}
-
 // perWorkerBuf returns a length-`workers` int64 buffer for one of the
 // per-worker stat exports (slot 0/1: vertex/block counters; slot 2: the
 // sharded engine's per-shard vertex fold). Nil Scratch → nil, letting
@@ -266,35 +250,12 @@ func (s *Scratch) result(colors []uint16, numColors int, st OpStats) *Result {
 	return &s.res
 }
 
-// distinctColors counts distinct nonzero colors. With a Scratch it uses
-// a retained 8 KiB bitmap instead of countColors's map (the map is the
-// one unavoidable allocation in the engines' epilogue otherwise).
-func (s *Scratch) distinctColors(colors []uint16) int {
-	if s == nil {
-		return countColors(colors)
-	}
-	if s.seen == nil {
-		s.seen = make([]uint64, 1<<16/64)
-	} else {
-		clear(s.seen)
-	}
-	count := 0
-	for _, c := range colors {
-		if c == 0 {
-			continue
-		}
-		if s.seen[c>>6]&(1<<(c&63)) == 0 {
-			s.seen[c>>6] |= 1 << (c & 63)
-			count++
-		}
-	}
-	return count
-}
-
-// workerScratch is one worker's reusable hot-path state, shared by the
-// parallel engines (parallelbitwise uses state/codec/ga/next, dct uses
-// state/codec/ga/ring). Exactly one goroutine owns an instance during a
-// run.
+// workerScratch is one lane's reusable hot-path state (see frame): the
+// bit set and codec every engine uses, the gather view, the counter
+// shard, the lane's own forwarding ring (owner-computes engines only;
+// pooled with the lane, reset when a run provisions it) and the repair
+// queue of parallelbitwise. Exactly one goroutine owns an instance during
+// a run.
 type workerScratch struct {
 	state     *bitops.BitSet
 	codec     *bitops.ColorCodec
@@ -322,29 +283,32 @@ func (w *workerScratch) ensure(maxColors int) {
 
 // ensureRing makes sure the worker has a reset forwarding ring of the
 // given capacity.
-func (w *workerScratch) ensureRing(capacity int) *dispatch.ForwardRing {
+func (w *workerScratch) ensureRing(capacity int) {
 	if w.ring == nil || w.ring.Cap() != capacity {
 		w.ring = dispatch.NewForwardRing(capacity)
 	} else {
 		w.ring.Reset()
 	}
-	return w.ring
 }
 
-// workerAt returns worker w's scratch, creating or resizing as needed.
-// Nil Scratch → a fresh workerScratch (the engines' old allocation).
-func (s *Scratch) workerAt(w, maxColors int) *workerScratch {
+// lanes returns count reset workerScratch values sized for the palette:
+// the pooled s.ws[:count] with a Scratch, fresh ones without.
+func (s *Scratch) lanes(count, maxColors int) []*workerScratch {
+	var ws []*workerScratch
 	if s == nil {
-		ws := &workerScratch{
-			next: make([]graph.VertexID, 0, 256),
+		ws = make([]*workerScratch, count)
+	} else {
+		for len(s.ws) < count {
+			s.ws = append(s.ws, nil)
 		}
-		ws.ensure(maxColors)
-		return ws
+		ws = s.ws[:count]
 	}
-	for len(s.ws) <= w {
-		s.ws = append(s.ws, &workerScratch{next: make([]graph.VertexID, 0, 256)})
+	for i, w := range ws {
+		if w == nil {
+			w = new(workerScratch)
+			ws[i] = w
+		}
+		w.ensure(maxColors)
 	}
-	ws := s.ws[w]
-	ws.ensure(maxColors)
 	return ws
 }

@@ -14,7 +14,7 @@ import (
 	"bitcolor/internal/partition"
 )
 
-// ShardedColor is the host rendering of the paper's multi-card scale-out:
+// ShardedOpts is the host rendering of the paper's multi-card scale-out:
 // the graph is partitioned into `shards` parts (the per-FPGA subgraphs),
 // every shard colors its *interior* concurrently with the proven DCT
 // owner-computes loop over its own vertex list, and the vertices whose
@@ -160,43 +160,21 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		lists = a.VertexLists(sc.orderBuf(n))
 	}
 
-	flat := shards * workers // interior goroutines, one counter shard each
-	ss := sc.shardSet(flat)
-	// Arm the live mirrors: the interior and frontier OwnerLoops refresh
-	// them at their poll checkpoints, so /debug/runs sees per-lane
-	// progress across all shards × workers (nil-safe no-op otherwise).
-	opts.Run.AttachShards(ss)
+	// One lane per interior goroutine: shards × workers of them. The
+	// interior and frontier OwnerLoops refresh their live mirrors at the
+	// poll checkpoints, so /debug/runs sees per-lane progress across all
+	// shards × workers.
+	flat := shards * workers
+	f := newFrame(opts, sc, n, flat, maxColors, ForwardRingCap)
+	f.gather, f.gatherAuto = gatherDecision(g, opts)
 	st := metrics.RunStats{
 		Workers:          workers,
 		Shards:           shards,
 		BoundaryVertices: cl.Boundary,
 		CutEdges:         cl.CutEdges,
 	}
-	useGather, gatherAuto := gatherDecision(g, opts)
-	shared := sc.sharedBuf(n)
-	sorted := g.EdgesSorted()
-	rings := sc.ringSet(ForwardRingCap)
-
-	esp := opts.Span
-	o := opts.Obs
-	var obsStart time.Time
-	if o != nil {
-		obsStart = time.Now()
-	}
-
-	var abort atomic.Bool
-
-	ws := make([]*workerScratch, flat)
-	for i := range ws {
-		s := sc.workerAt(i, maxColors)
-		s.sh = ss.Shard(i)
-		s.ga.init(shared, opts.HotVertices, s.sh)
-		s.ring = rings.Ring(i)
-		ws[i] = s
-	}
-	if useGather {
-		st.HotThreshold = ws[0].ga.vt
-	}
+	shared, sorted, useGather := f.shared, g.EdgesSorted(), f.gather
+	run := newOwnerRun(ctx, opts.Obs, shared)
 
 	// attemptInterior colors v when every lower-indexed neighbor already
 	// has its final color, marks it onto the frontier when a lower
@@ -259,49 +237,22 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		return 0, exec.Colored
 	}
 
-	// Forwarding-latency instrumentation, wired only under a live
-	// observer; both phases share the two closures.
-	var (
-		clock     func() int64
-		onForward func(parkedAt int64)
-	)
-	if o != nil {
-		clock = func() int64 { return int64(time.Since(obsStart)) }
-		onForward = func(parkedAt int64) {
-			o.ObserveForwardWait(float64(int64(time.Since(obsStart))-parkedAt) / 1e9)
-		}
-	}
-
 	// Interior phase: shards × workers goroutines; goroutine (s, w) owns
 	// positions w, w+P, … of shard s's ascending vertices — the DCT
-	// owner-computes schedule applied per shard. The per-goroutine phase
-	// timings land in a pooled buffer (fresh only without a Scratch).
+	// owner-computes schedule applied per shard. A mark is progress too
+	// (it is nonzero): the awaited vertex went to the frontier, and the
+	// replay cascades the parked vertex after it instead of waiting
+	// forever.
 	phaseStart := time.Now()
-	flatDur := sc.durBuf(0, flat)
-	if flatDur == nil {
-		flatDur = make([]time.Duration, flat)
-	}
+	laneDur := f.laneDurs()
 	exec.Go(flat, func(idx int) {
-		defer func() { flatDur[idx] = time.Since(phaseStart) }()
+		defer func() { laneDur[idx] = time.Since(phaseStart) }()
 		shard, w := idx/workers, idx%workers
 		pv := int32(shard)
-		s := ws[idx]
-		loop := exec.OwnerLoop{
-			Ctx:   ctx,
-			Abort: &abort,
-			Ring:  s.ring,
-			Shard: s.sh,
-			Attempt: func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
-				return attemptInterior(s, v, pv)
-			},
-			// A mark is progress too: the awaited vertex went to the
-			// frontier, and the replay cascades the parked vertex after
-			// it instead of waiting forever.
-			Published: func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != 0 },
-			FailErr:   ErrPaletteExhausted,
-			Clock:     clock,
-			OnForward: onForward,
-		}
+		s := f.ws[idx]
+		loop := run.loop(s, func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
+			return attemptInterior(s, v, pv)
+		})
 		if ranged {
 			lo, _ := slices.BinarySearch(parts, pv)
 			hi, _ := slices.BinarySearch(parts, pv+1)
@@ -311,31 +262,12 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		}
 	})
 
-	foldStats := func() {
-		st.VerticesPerWorker = ss.PerWorkerInto(obs.CtrVertices, sc.perWorkerBuf(0, flat))
-		st.Deferred = ss.Total(obs.CtrDeferred)
-		st.DeferRetries = ss.Total(obs.CtrDeferRetries)
-		st.SpinWaits = ss.Total(obs.CtrSpinWaits)
-		st.CrossShardDefers = ss.Total(obs.CtrCrossDefers)
-		st.Gather = metrics.GatherStats{
-			HotReads:       ss.Total(obs.CtrHotReads),
-			MergedReads:    ss.Total(obs.CtrMergedReads),
-			ColdBlockLoads: ss.Total(obs.CtrColdBlockLoads),
-			PrunedTail:     ss.Total(obs.CtrPrunedTail),
-			AutoDisabled:   gatherAuto,
-		}
-		st.ForwardRingPeak = rings.Peak()
-	}
-
 	// Interior vertex counts are folded per shard before the frontier
-	// phase reuses the low counter shards.
-	st.ShardVertices, st.ShardDurations = foldShards(sc, ss, flatDur, shards, workers)
-
-	for _, s := range ws {
-		if s.err != nil {
-			foldStats()
-			return nil, st, s.err
-		}
+	// phase reuses the low lanes.
+	f.foldShards(&st, laneDur, shards, workers)
+	if err := f.err(); err != nil {
+		f.fold(&st)
+		return nil, st, err
 	}
 
 	// The barrier: every vertex is now colored or marked. Collect the
@@ -392,73 +324,25 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 			return 0, exec.Colored
 		}
 		exec.Go(fw, func(w int) {
-			s := ws[w] // reuses the flat scratch + ring, both drained
-			loop := exec.OwnerLoop{
-				Ctx:   ctx,
-				Abort: &abort,
-				Ring:  s.ring,
-				Shard: s.sh,
-				Attempt: func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
-					return attemptFrontier(s, v)
-				},
-				// A zero color is impossible on the frontier, so "published"
-				// tests against the mark sentinel instead.
-				Published: func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != shardMark },
-				FailErr:   ErrPaletteExhausted,
-				Clock:     clock,
-				OnForward: onForward,
-			}
+			s := f.ws[w] // reuses the lane's scratch and ring, both drained
+			loop := run.loop(s, func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
+				return attemptFrontier(s, v)
+			})
+			loop.Published = func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != shardMark }
 			s.err = loop.RunList(frontier, w, fw)
 		})
 	}
 
-	foldStats()
-	for _, s := range ws {
-		if s.err != nil {
-			return nil, st, s.err
-		}
+	f.fold(&st)
+	if err := f.err(); err != nil {
+		return nil, st, err
 	}
-	st.Rounds = 1
-	opts.Run.SetRound(1)
 	// One interior pass plus its bounded frontier resolution form the
 	// engine's single round, mirroring the DCT round-span convention.
-	esp.Child("round").Attr("round", 1).Attr("pending", int64(n)).
-		Attr("conflicts_found", int64(0)).Attr("recolored", int64(0)).
-		Attr("deferred", st.Deferred).Attr("ring_peak", int64(st.ForwardRingPeak)).
-		Attr("shards", int64(shards)).Attr("frontier", int64(st.FrontierVertices)).
-		Attr("cross_shard_defers", st.CrossShardDefers).
-		Attr("cut_edges", st.CutEdges).End()
-
-	colors := sc.colorsBuf(n)
-	for i, c := range shared {
-		colors[i] = uint16(c)
+	if rsp := oneRound(opts, n, &st); rsp != nil {
+		rsp.Attr("shards", int64(shards)).Attr("frontier", int64(st.FrontierVertices)).
+			Attr("cross_shard_defers", st.CrossShardDefers).
+			Attr("cut_edges", st.CutEdges).End()
 	}
-	return sc.result(colors, sc.distinctColors(colors), OpStats{}), st, nil
-}
-
-// foldShards folds the flat (shard, worker) lanes into the per-shard
-// RunStats exports: ShardVertices[s] sums the lanes' colored vertices
-// and ShardDurations[s] is the slowest lane's time. Both draw on the
-// pooled arena when a Scratch backs the run (they alias it — see the
-// Scratch doc), so repeated runs stop churning them.
-func foldShards(sc *Scratch, ss *obs.ShardSet, flatDur []time.Duration, shards, workers int) ([]int64, []time.Duration) {
-	verts := sc.perWorkerBuf(2, shards)
-	if verts == nil {
-		verts = make([]int64, shards)
-	} else {
-		clear(verts)
-	}
-	durs := sc.durBuf(1, shards)
-	if durs == nil {
-		durs = make([]time.Duration, shards)
-	}
-	for shard := 0; shard < shards; shard++ {
-		for w := 0; w < workers; w++ {
-			verts[shard] += ss.Shard(shard*workers + w).Get(obs.CtrVertices)
-			if d := flatDur[shard*workers+w]; d > durs[shard] {
-				durs[shard] = d
-			}
-		}
-	}
-	return verts, durs
+	return f.finish(), st, nil
 }

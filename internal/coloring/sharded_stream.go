@@ -11,7 +11,6 @@ import (
 	"bitcolor/internal/exec"
 	"bitcolor/internal/graph"
 	"bitcolor/internal/metrics"
-	"bitcolor/internal/obs"
 )
 
 // The out-of-core executor is DCT over a window of consecutive range
@@ -78,12 +77,11 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 		sc = nil
 	}
 
-	// One counter shard, scratch and forwarding ring per (shard, worker)
-	// lane, exactly as in-core — the stats fold and /debug/runs mirrors
-	// are shape-identical across the two executors.
+	// One lane per (shard, worker), exactly as in core — the stats fold
+	// and /debug/runs mirrors are shape-identical across the two
+	// executors. The stream reports no gather statistics.
 	flat := shards * workers
-	ss := sc.shardSet(flat)
-	opts.Run.AttachShards(ss)
+	f := newFrame(opts, sc, n, flat, maxColors, ForwardRingCap)
 	st := metrics.RunStats{
 		Workers:          workers,
 		Shards:           shards,
@@ -91,45 +89,14 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 		CutEdges:         sf.CutEdges(),
 		ResidentShards:   resident,
 	}
-	shared := sc.sharedBuf(n)
-	rings := sc.ringSet(ForwardRingCap)
+	shared := f.shared
+	run := newOwnerRun(ctx, opts.Obs, shared)
 
-	esp := opts.Span
-	o := opts.Obs
-	var obsStart time.Time
-	if o != nil {
-		obsStart = time.Now()
-	}
-
-	var abort atomic.Bool
-
-	ws := make([]*workerScratch, flat)
-	for i := range ws {
-		s := sc.workerAt(i, maxColors)
-		s.sh = ss.Shard(i)
-		s.ring = rings.Ring(i)
-		ws[i] = s
-	}
-
-	var (
-		clock     func() int64
-		onForward func(parkedAt int64)
-	)
-	if o != nil {
-		clock = func() int64 { return int64(time.Since(obsStart)) }
-		onForward = func(parkedAt int64) {
-			o.ObserveForwardWait(float64(int64(time.Since(obsStart))-parkedAt) / 1e9)
-		}
-	}
-
-	flatDur := sc.durBuf(0, flat)
-	if flatDur == nil {
-		flatDur = make([]time.Duration, flat)
-	}
+	laneDur := f.laneDurs()
 	var nextShard atomic.Int64
 	mapErrs := make([]error, resident)
 	exec.Go(resident, func(runner int) {
-		for !abort.Load() && ctx.Err() == nil {
+		for !run.abort.Load() && ctx.Err() == nil {
 			shard := int(nextShard.Add(1)) - 1
 			if shard >= shards {
 				return
@@ -147,7 +114,7 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 			}
 			if err != nil {
 				mapErrs[runner] = err
-				abort.Store(true)
+				run.abort.Store(true)
 				return
 			}
 			// The break at u > v needs ascending lists, which MapShard
@@ -156,59 +123,35 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 			shardStart := time.Now()
 			exec.Go(workers, func(w int) {
 				idx := shard*workers + w
-				s := ws[idx]
-				loop := exec.OwnerLoop{
-					Ctx:   ctx,
-					Abort: &abort,
-					Ring:  s.ring,
-					Shard: s.sh,
-					Attempt: func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
-						return dctAttempt(s, shared, v, sm.Neighbors(int(v)-lo), sorted, false)
-					},
-					Published: func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != 0 },
-					FailErr:   ErrPaletteExhausted,
-					Clock:     clock,
-					OnForward: onForward,
-				}
+				s := f.ws[idx]
+				loop := run.loop(s, func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
+					return dctAttempt(s, shared, v, sm.Neighbors(int(v)-lo), sorted, false)
+				})
 				s.err = loop.RunRange(lo+w, workers, hi)
-				flatDur[idx] = time.Since(shardStart)
+				laneDur[idx] = time.Since(shardStart)
 			})
 			sm.Close()
 		}
 	})
 
-	st.VerticesPerWorker = ss.PerWorkerInto(obs.CtrVertices, sc.perWorkerBuf(0, flat))
-	st.Deferred = ss.Total(obs.CtrDeferred)
-	st.DeferRetries = ss.Total(obs.CtrDeferRetries)
-	st.SpinWaits = ss.Total(obs.CtrSpinWaits)
-	st.ForwardRingPeak = rings.Peak()
+	f.fold(&st)
 	st.PeakMappedBytes = sf.Stats().PeakResidentBytes
-	st.ShardVertices, st.ShardDurations = foldShards(sc, ss, flatDur, shards, workers)
+	f.foldShards(&st, laneDur, shards, workers)
 
 	for _, err := range mapErrs {
 		if err != nil {
 			return nil, st, err
 		}
 	}
-	for _, s := range ws {
-		if s.err != nil {
-			return nil, st, s.err
-		}
+	if err := f.err(); err != nil {
+		return nil, st, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, st, err
 	}
-	st.Rounds = 1
-	opts.Run.SetRound(1)
-	esp.Child("round").Attr("round", 1).Attr("pending", int64(n)).
-		Attr("conflicts_found", int64(0)).Attr("recolored", int64(0)).
-		Attr("deferred", st.Deferred).Attr("ring_peak", int64(st.ForwardRingPeak)).
-		Attr("shards", int64(shards)).Attr("cut_edges", st.CutEdges).
-		Attr("resident_shards", int64(resident)).End()
-
-	colors := sc.colorsBuf(n)
-	for i, c := range shared {
-		colors[i] = uint16(c)
+	if rsp := oneRound(opts, n, &st); rsp != nil {
+		rsp.Attr("shards", int64(shards)).Attr("cut_edges", st.CutEdges).
+			Attr("resident_shards", int64(resident)).End()
 	}
-	return sc.result(colors, sc.distinctColors(colors), OpStats{}), st, nil
+	return f.finish(), st, nil
 }

@@ -49,6 +49,15 @@ func TestForwardRingBoundAndPeak(t *testing.T) {
 	if r.Len() != 2 || r.Peak() != 3 {
 		t.Fatalf("after partial drain: len=%d peak=%d", r.Len(), r.Peak())
 	}
+	// Reset empties the ring and clears the peak, so a pooled ring
+	// serving a new run reports only that run's high-water mark.
+	r.Reset()
+	if r.Len() != 0 || r.Full() || r.Peak() != 0 {
+		t.Fatalf("after Reset: len=%d full=%v peak=%d", r.Len(), r.Full(), r.Peak())
+	}
+	if !r.Push(Parked{Vertex: 7, Awaited: 1}) || r.Peak() != 1 {
+		t.Fatalf("after Reset and one push: peak=%d, want 1", r.Peak())
+	}
 }
 
 func TestForwardRingDefaultCapacity(t *testing.T) {
