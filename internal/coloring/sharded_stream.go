@@ -53,9 +53,10 @@ func streamResidency(opts Options) int {
 // shardedStream runs the sharded engine out of core against
 // opts.ShardFile. streamResidency runner goroutines claim shards from
 // one cursor, so shards are claimed in index order; each runner maps
-// its shard, colors the shard's ID range [lo, hi) with opts.Workers
-// goroutines under DCT's pattern-p schedule (worker w owns lo+w,
-// lo+w+P, …), and unmaps it before claiming the next. The runner count
+// its shard (MapShard's checks split across the shard's workers),
+// colors the shard's ID range [lo, hi) with opts.Workers goroutines
+// under DCT's pattern-p schedule (worker w owns lo+w, lo+w+P, …), and
+// unmaps it before claiming the next. The runner count
 // bounds concurrent mappings — the residency invariant — and in-order
 // claiming keeps every wait finite: the lowest unfinished shard is
 // always mapped, and its lowest unfinished vertex can always finish.
@@ -104,7 +105,9 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 			// parts is sorted, so shard s is the ID range [lo, hi).
 			lo, _ := slices.BinarySearch(parts, int32(shard))
 			hi, _ := slices.BinarySearch(parts, int32(shard+1))
-			sm, err := sf.MapShard(shard)
+			// The shard's workers are idle until it is mapped, so they
+			// check its sections too.
+			sm, err := sf.MapShard(shard, workers)
 			if err == nil && len(sm.VMap) != hi-lo {
 				// MapShard proved every VMap entry is a shard vertex;
 				// a short one would leave a vertex uncolored and its

@@ -552,6 +552,89 @@ func TestStreamedOrderedWindow(t *testing.T) {
 	}
 }
 
+// descentAt reorders the list holding edges[at-1] and edges[at] so that
+// its only descent is at entry at, from a neighbor above the list's
+// vertex v to one below it: two ascending runs, upper neighbors then
+// lower ones. A run that trusted the list to be sorted would stop at the
+// first upper neighbor and miss the lower ones after it.
+func descentAt(t *testing.T, g *graph.CSR, at int64) {
+	t.Helper()
+	v, _ := slices.BinarySearch(g.Offsets, at+1)
+	v-- // the list holding entry at
+	list := g.Edges[g.Offsets[v]:g.Offsets[v+1]]
+	d := int(at - g.Offsets[v])
+	k, _ := slices.BinarySearch(list, graph.VertexID(v)) // lower neighbors
+	lower, upper := slices.Clone(list[:k]), slices.Clone(list[k:])
+	var order []graph.VertexID
+	switch {
+	case d == 0 || k == 0 || k == len(list):
+		t.Fatalf("entry %d: vertex %d has %d lower of %d neighbors, descent offset %d", at, v, k, len(list), d)
+	case d <= len(upper): // upper[:d], lower, upper[d:]
+		order = append(append(append(order, upper[:d]...), lower...), upper[d:]...)
+	default: // lower[:j], upper, lower[j:] with j+len(upper) = d
+		j := d - len(upper)
+		order = append(append(append(order, lower[:j]...), upper...), lower[j:]...)
+	}
+	copy(list, order)
+}
+
+// TestStreamedUnsortedSeams streams files whose shards each hold an
+// unsorted list across every seam where MapShard, at w workers, cuts the
+// shard's edges section (entry ne·p/w; each shard here is long enough to
+// split). Every descent lies on such a seam, so the stream learns the
+// lists are unsorted only from the seam comparisons; it must then read
+// whole lists and still color byte-identically to sequential greedy at
+// every workers × residency point.
+func TestStreamedUnsortedSeams(t *testing.T) {
+	for _, w := range []int{2, 3} {
+		g := randomGraph(t, 4000, 500000, 53)
+		a, err := BuildPartition(g, 2, PartitionRanges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < 2; s++ {
+			lo, _ := slices.BinarySearch(a.Parts, int32(s))
+			hi, _ := slices.BinarySearch(a.Parts, int32(s+1))
+			base, ne := g.Offsets[lo], g.Offsets[hi]-g.Offsets[lo]
+			for p := int64(1); p < int64(w); p++ {
+				descentAt(t, g, base+ne*p/int64(w))
+			}
+		}
+		g.ResetSorted()
+		path := filepath.Join(t.TempDir(), "unsorted.bcsr")
+		if err := graph.SaveBinaryV3File(path, g, a.Parts, a.K, graph.V3PartitionRanges); err != nil {
+			t.Fatal(err)
+		}
+		sf, err := graph.OpenShardedFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := Greedy(context.Background(), g, MaxColorsDefault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			for _, r := range []int{1, 2} {
+				res, _, err := ShardedOpts(context.Background(), nil, MaxColorsDefault,
+					Options{Workers: workers, OutOfCore: true, MaxResidentShards: r, ShardFile: sf})
+				if err != nil {
+					t.Fatalf("seams of %d, w=%d r=%d: %v", w, workers, r, err)
+				}
+				if !slices.Equal(res.Colors, seq.Colors) {
+					t.Fatalf("seams of %d, w=%d r=%d: streamed colors differ from greedy", w, workers, r)
+				}
+				if err := VerifyShardedParallel(sf, res.Colors, workers); err != nil {
+					t.Fatalf("seams of %d, w=%d r=%d: %v", w, workers, r, err)
+				}
+			}
+		}
+		if got := sf.Stats(); got.Maps != got.Unmaps || got.ResidentBytes != 0 {
+			t.Fatalf("seams of %d: leaked mappings: %+v", w, got)
+		}
+		sf.Close()
+	}
+}
+
 // TestStreamedCorruptShard flips a byte of shard 2's edges. At every
 // residency the run must end in that shard's checksum error — with the
 // shards around it mapped and colored concurrently when the window

@@ -35,17 +35,18 @@ func VerifySharded(sf *graph.ShardedFile, colors []uint16) error {
 	return VerifyShardedParallel(sf, colors, 1)
 }
 
-// VerifyShardedParallel is VerifySharded with each mapped shard split
-// across `workers` goroutines as VerifyParallel splits a graph. Shards
-// are still mapped one at a time, in order, so the error is exactly the
-// one VerifySharded returns and residency stays at one shard.
+// VerifyShardedParallel is VerifySharded with each shard's map checks
+// (MapShard) and its check of the coloring split across `workers`
+// goroutines, the latter as VerifyParallel splits a graph. Shards are
+// still mapped one at a time, in order, so the error is exactly the one
+// VerifySharded returns and residency stays at one shard.
 func VerifyShardedParallel(sf *graph.ShardedFile, colors []uint16, workers int) error {
 	n := sf.NumVertices()
 	if len(colors) != n {
 		return fmt.Errorf("coloring: %d colors for %d vertices", len(colors), n)
 	}
 	for shard := 0; shard < sf.Shards(); shard++ {
-		sm, err := sf.MapShard(shard)
+		sm, err := sf.MapShard(shard, workers)
 		if err != nil {
 			return err
 		}

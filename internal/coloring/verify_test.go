@@ -128,7 +128,7 @@ func TestVerifyShardedParallelMatchesVerifySharded(t *testing.T) {
 		sf := openV3ForTest(t, g, 3, strategy)
 		var largest int64 // the largest single shard mapping
 		for s := 0; s < sf.Shards(); s++ {
-			sm, err := sf.MapShard(s)
+			sm, err := sf.MapShard(s, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

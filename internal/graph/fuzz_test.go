@@ -297,9 +297,23 @@ func FuzzReadBinaryV3(f *testing.F) {
 			t.Fatal("sharded handle disagrees with copying reader")
 		}
 		for s := 0; s < sf.Shards(); s++ {
-			sm, err := sf.MapShard(s)
+			sm, err := sf.MapShard(s, 1)
 			if err != nil {
 				t.Fatalf("MapShard(%d) rejected a file ReadBinaryV3 accepted: %v", s, err)
+			}
+			// Fuzz inputs stay below two minSplitBytes parts, so this holds
+			// the worker argument to the one-worker map; the split itself
+			// is TestShardMapSplit*'s.
+			for _, w := range []int{2, 3} {
+				split, err := sf.MapShard(s, w)
+				if err != nil {
+					t.Fatalf("MapShard(%d) at %d workers failed where one worker mapped: %v", s, w, err)
+				}
+				if !slices.Equal(split.Offsets, sm.Offsets) || !slices.Equal(split.Edges, sm.Edges) ||
+					!slices.Equal(split.VMap, sm.VMap) || split.Sorted() != sm.Sorted() {
+					t.Fatalf("MapShard(%d) at %d workers disagrees with one worker", s, w)
+				}
+				split.Close()
 			}
 			sm.Close()
 		}

@@ -122,7 +122,7 @@ func TestLegacyFixtures(t *testing.T) {
 		if sf.meta.dir[s].nBoundary > 0 {
 			withBlocks++
 		}
-		sm, err := sf.MapShard(s)
+		sm, err := sf.MapShard(s, 1)
 		if err != nil {
 			t.Fatalf("MapShard(%d): %v", s, err)
 		}

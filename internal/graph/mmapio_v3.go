@@ -546,10 +546,8 @@ func readV3Bytes(br io.Reader, scratch []byte, n uint64, what string) ([]byte, e
 }
 
 // decodeV3Shard decodes one shard's main sections from their stored
-// bytes and validates them with validateShardSections, which also
-// reports whether every adjacency list is ascending (desc counts the
-// edges' descents, as sumDescents returns it).
-func decodeV3Shard(s int, d *v3ShardDir, nv uint64, parts []int32, offB, edgeB, vmapB []byte, desc int) (offsets []int64, edges, vmap []VertexID, sorted bool, err error) {
+// bytes; validateShardSections checks them.
+func decodeV3Shard(d *v3ShardDir, offB, edgeB, vmapB []byte) (offsets []int64, edges, vmap []VertexID) {
 	offsets = make([]int64, d.nvLocal+1)
 	for i := range offsets {
 		offsets[i] = int64(binary.LittleEndian.Uint64(offB[8*i:]))
@@ -562,10 +560,7 @@ func decodeV3Shard(s int, d *v3ShardDir, nv uint64, parts []int32, offB, edgeB, 
 	for i := range vmap {
 		vmap[i] = binary.LittleEndian.Uint32(vmapB[4*i:])
 	}
-	if sorted, err = validateShardSections(s, nv, parts, offsets, edges, vmap, desc); err != nil {
-		return nil, nil, nil, false, err
-	}
-	return offsets, edges, vmap, sorted, nil
+	return offsets, edges, vmap
 }
 
 // ReadBinaryV3 deserializes a v3 stream by copying, reconstructing the
@@ -640,14 +635,15 @@ func ReadBinaryV3(r io.Reader) (*CSR, *V3Meta, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		edgeSum, desc := sumDescents(edgeB)
-		sumA := uint64(crc32.Checksum(offB, crcTable))<<32 | uint64(edgeSum)
-		sumB := uint64(crc32.Checksum(vmapB, crcTable))<<32 | uint64(crc32.Checksum(bndB, crcTable))
+		sums := sumShardSections(offB, edgeB, vmapB, 1)
+		sumA := uint64(sums.offsets)<<32 | uint64(sums.edges)
+		sumB := uint64(sums.vmap)<<32 | uint64(crc32.Checksum(bndB, crcTable))
 		if sumA != d.sumA || sumB != d.sumB {
 			return nil, nil, fmt.Errorf("graph: v3 shard %d section checksum mismatch", s)
 		}
 		sp := &shards[s]
-		if sp.offsets, sp.edges, sp.vmap, _, err = decodeV3Shard(s, d, f.nv, m.parts, offB, edgeB, vmapB, desc); err != nil {
+		sp.offsets, sp.edges, sp.vmap = decodeV3Shard(d, offB, edgeB, vmapB)
+		if _, err := validateShardSections(s, f.nv, m.parts, sp.offsets, sp.edges, sp.vmap, sums.desc, 1); err != nil {
 			return nil, nil, err
 		}
 	}

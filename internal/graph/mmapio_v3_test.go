@@ -243,7 +243,7 @@ func TestOpenShardedFile(t *testing.T) {
 			t.Fatalf("%s: totals (%d,%d), want (%d,%d)", tc.name, sf.CutEdges(), sf.Boundary(), cut, boundary)
 		}
 		for s := 0; s < tc.k; s++ {
-			sm, err := sf.MapShard(s)
+			sm, err := sf.MapShard(s, 1)
 			if err != nil {
 				t.Fatalf("%s: MapShard(%d): %v", tc.name, s, err)
 			}
@@ -280,7 +280,7 @@ func TestOpenShardedFile(t *testing.T) {
 		if err := sf.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", tc.name, err)
 		}
-		if _, err := sf.MapShard(0); err == nil {
+		if _, err := sf.MapShard(0, 1); err == nil {
 			t.Fatalf("%s: MapShard after Close succeeded", tc.name)
 		}
 	}
@@ -339,7 +339,7 @@ func TestOpenShardedFileRejectsCorruption(t *testing.T) {
 	defer sf.Close()
 	failed := false
 	for s := 0; s < sf.Shards(); s++ {
-		if sm, err := sf.MapShard(s); err != nil {
+		if sm, err := sf.MapShard(s, 1); err != nil {
 			failed = true
 		} else {
 			sm.Close()
@@ -373,7 +373,7 @@ func TestOpenShardedFileRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := 0; s < badSF.Shards(); s++ {
-		sm, err := badSF.MapShard(s)
+		sm, err := badSF.MapShard(s, 1)
 		if err != nil {
 			t.Errorf("MapShard(%d) read a boundary block: %v", s, err)
 			continue
@@ -424,7 +424,7 @@ func TestShardMapConcurrentClose(t *testing.T) {
 	}
 	defer sf.Close()
 	for round := 0; round < 10; round++ {
-		sm, err := sf.MapShard(round % 2)
+		sm, err := sf.MapShard(round%2, 2)
 		if err != nil {
 			t.Fatalf("MapShard: %v", err)
 		}

@@ -20,6 +20,10 @@ import (
 // uses the sections as the CSR in place. A multi-shard file colors in
 // core through Materialize's copy. Older files' boundary blocks are
 // never mapped; only the copying reader reads (and ignores) them.
+// MapShard checks a shard on as many goroutines as its caller's run
+// has workers, cutting each section longer than two minSplitBytes
+// parts and joining the part checksums with a CRC32-C combine; MapCSR
+// and the copying reader check on one goroutine.
 // All methods are safe for concurrent use; the residency counters are
 // the instrumentation the bounded-residency invariant test asserts on.
 type ShardedFile struct {
@@ -208,7 +212,16 @@ type ShardMap struct {
 // MapShard maps shard s's offsets+edges+vmap sections (one contiguous
 // file range), verifies their CRCs and structural invariants, and
 // charges the bytes to the handle's residency counters.
-func (sf *ShardedFile) MapShard(s int) (*ShardMap, error) {
+//
+// The checks run on up to `workers` goroutines, the caller's among
+// them: each section is cut into contiguous parts of at least
+// minSplitBytes (a shorter section stays on one goroutine), each part
+// is checksummed and its descents counted, and the part checksums are
+// joined with a CRC32-C combine; the list and vertex-map checks split
+// by vertex range. The sections, Sorted and every error text are the
+// same at every worker count. The stream passes its per-shard worker
+// count and VerifyShardedParallel its own; MapCSR maps on one goroutine.
+func (sf *ShardedFile) MapShard(s, workers int) (*ShardMap, error) {
 	if sf.cl.done() {
 		return nil, fmt.Errorf("graph: ShardedFile used after Close")
 	}
@@ -225,12 +238,12 @@ func (sf *ShardedFile) MapShard(s int) (*ShardMap, error) {
 	offB := view[:(d.nvLocal+1)*8]
 	edgeB := view[d.edgesOff-d.offsetsOff:][:d.neLocal*4]
 	vmapB := view[d.vmapOff-d.offsetsOff:][:d.nvLocal*4]
-	edgeSum, desc := sumDescents(edgeB)
-	if sumA := uint64(crc32.Checksum(offB, crcTable))<<32 | uint64(edgeSum); sumA != d.sumA {
+	sums := sumShardSections(offB, edgeB, vmapB, workers)
+	if uint64(sums.offsets)<<32|uint64(sums.edges) != d.sumA {
 		releaseLoad(mapping)
 		return nil, fmt.Errorf("graph: v3 shard %d section checksum mismatch", s)
 	}
-	if sumV := uint32(d.sumB >> 32); crc32.Checksum(vmapB, crcTable) != sumV {
+	if sums.vmap != uint32(d.sumB>>32) {
 		releaseLoad(mapping)
 		return nil, fmt.Errorf("graph: v3 shard %d vmap checksum mismatch", s)
 	}
@@ -247,11 +260,11 @@ func (sf *ShardedFile) MapShard(s int) (*ShardMap, error) {
 		} else {
 			sm.VMap = []VertexID{}
 		}
-		if sm.sorted, err = validateShardSections(s, sf.hdr.nv, sf.meta.parts, sm.Offsets, sm.Edges, sm.VMap, desc); err != nil {
-			releaseLoad(mapping)
-			return nil, err
-		}
-	} else if sm.Offsets, sm.Edges, sm.VMap, sm.sorted, err = decodeV3Shard(s, d, sf.hdr.nv, sf.meta.parts, offB, edgeB, vmapB, desc); err != nil {
+	} else {
+		sm.Offsets, sm.Edges, sm.VMap = decodeV3Shard(d, offB, edgeB, vmapB)
+	}
+	if sm.sorted, err = validateShardSections(s, sf.hdr.nv, sf.meta.parts, sm.Offsets, sm.Edges, sm.VMap, sums.desc, workers); err != nil {
+		releaseLoad(mapping)
 		return nil, err
 	}
 	n := len(sm.VMap)
@@ -299,22 +312,29 @@ func sumDescents(b []byte) (sum uint32, desc int) {
 
 // validateShardSections checks one shard's typed sections: its lists
 // pass checkLists against the global vertex count (desc counts the
-// edges' descents, as sumDescents returns it), and the vertex map is
-// strictly ascending over shard s's vertices. It reports whether every
-// adjacency list is ascending.
-func validateShardSections(s int, nv uint64, parts []int32, offsets []int64, edges, vmap []VertexID, desc int) (sorted bool, err error) {
-	if sorted, err = checkLists(offsets, edges, nv, desc); err != nil {
+// edges' descents, as sumShardSections returns it), and the vertex map
+// is strictly ascending over shard s's vertices. It reports whether
+// every adjacency list is ascending. Both checks split by range across
+// up to `workers` goroutines, and the lowest range's error wins.
+func validateShardSections(s int, nv uint64, parts []int32, offsets []int64, edges, vmap []VertexID, desc, workers int) (sorted bool, err error) {
+	if sorted, err = checkLists(offsets, edges, nv, desc, workers); err != nil {
 		return false, fmt.Errorf("graph: v3 shard %d %w", s, err)
 	}
-	for i, v := range vmap {
-		if uint64(v) >= nv || parts[v] != int32(s) {
-			return false, fmt.Errorf("graph: v3 shard %d vmap entry %d not a shard vertex", s, v)
+	ranges := splitParts(4*len(vmap), workers)
+	err = lowestError(ranges, func(w int) error {
+		lo, hi := partRange(len(vmap), ranges, w)
+		for i := lo; i < hi; i++ {
+			v := vmap[i]
+			if uint64(v) >= nv || parts[v] != int32(s) {
+				return fmt.Errorf("graph: v3 shard %d vmap entry %d not a shard vertex", s, v)
+			}
+			if i > 0 && v <= vmap[i-1] {
+				return fmt.Errorf("graph: v3 shard %d vmap not strictly ascending at %d", s, i)
+			}
 		}
-		if i > 0 && v <= vmap[i-1] {
-			return false, fmt.Errorf("graph: v3 shard %d vmap not strictly ascending at %d", s, i)
-		}
-	}
-	return sorted, nil
+		return nil
+	})
+	return err == nil && sorted, err
 }
 
 // LocalIndex translates a global vertex ID to its local index in this
@@ -397,8 +417,9 @@ type MappedCSR struct {
 	close closeOnce
 }
 
-// MapCSR maps the only shard of a one-shard file and returns it as the
-// whole graph. MapShard's pass has already checked the checksums, the
+// MapCSR maps the only shard of a one-shard file, on one goroutine, and
+// returns it as the whole graph. MapShard's pass has already checked the
+// checksums, the
 // offsets, every destination and the vertex map — which, with one
 // shard covering every vertex, is the identity, so the local offsets
 // are the global ones — and counted the lists' sortedness from the
@@ -409,7 +430,7 @@ func (sf *ShardedFile) MapCSR() (*MappedCSR, error) {
 	if sf.Shards() != 1 {
 		return nil, fmt.Errorf("graph: MapCSR needs a one-shard v3 file (this one has %d shards)", sf.Shards())
 	}
-	sm, err := sf.MapShard(0)
+	sm, err := sf.MapShard(0, 1)
 	if err != nil {
 		return nil, err
 	}
