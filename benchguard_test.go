@@ -17,7 +17,6 @@ package bitcolor
 import (
 	"context"
 	"encoding/json"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -28,6 +27,7 @@ import (
 	"time"
 
 	"bitcolor/internal/exec"
+	"bitcolor/internal/experiments"
 )
 
 const benchGuardEnv = "BITCOLOR_BENCHGUARD"
@@ -360,7 +360,8 @@ func medianPairRatio(n int, a, b func()) float64 {
 // TestBenchGuardLoadPathRatio pins the zero-copy load path: opening a
 // mapped one-shard BCSR v3 file of GD and closing it, over opening the
 // same file, reading its bytes into a buffer and taking one CRC32-C pass
-// across them. Both arms move the file's bytes out of the page cache
+// across them (experiments.ReadCRC, which the e2e experiment's ratio
+// divides by too). Both arms move the file's bytes out of the page cache
 // through a checksum, so the ratio moves with what the open adds —
 // mapping, header and meta parsing, validation — and with nothing an
 // engine does. The median of loadPairs per-pair ratios may exceed the
@@ -396,34 +397,26 @@ func TestBenchGuardLoadPathRatio(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	var (
-		sum uint32
-		buf []byte
+		reader experiments.ReadCRC
+		sum    uint32
 	)
 	crc := func() {
-		data, err := os.Open(path)
+		_, s, err := reader.Run(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fi, err := data.Stat()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(len(buf)) != fi.Size() {
-			buf = make([]byte, fi.Size())
-		}
-		if _, err := data.ReadAt(buf, 0); err != nil {
-			t.Fatal(err)
-		}
-		sum ^= crc32.Checksum(buf, castagnoli)
-		data.Close()
+		sum ^= s
 	}
 	medianPairRatio(loadPairs/10, load, crc) // warm the page cache and the allocator
 	ratio := medianPairRatio(loadPairs, load, crc)
 	limit := base.LoadRatio * 1.10
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("mapped open+close / read+CRC32-C of the same %d bytes: median of %d pair ratios %.4f (baseline %.4f, limit %.4f; crc %08x)",
-		len(buf), loadPairs, ratio, base.LoadRatio, limit, sum)
+		fi.Size(), loadPairs, ratio, base.LoadRatio, limit, sum)
 	if ratio > limit {
 		t.Fatalf("mapped load path regressed: ratio %.4f exceeds baseline %.4f by more than 10%%",
 			ratio, base.LoadRatio)

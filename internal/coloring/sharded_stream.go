@@ -53,7 +53,7 @@ func streamResidency(opts Options) int {
 // shardedStream runs the sharded engine out of core against
 // opts.ShardFile. streamResidency runner goroutines claim shards from
 // one cursor, so shards are claimed in index order; each runner maps
-// its shard (MapShard's checks split across the shard's workers),
+// its shard (MapShard's checksum pass split across the shard's workers),
 // colors the shard's ID range [lo, hi) with opts.Workers goroutines
 // under DCT's pattern-p schedule (worker w owns lo+w, lo+w+P, …), and
 // unmaps it before claiming the next. The runner count
@@ -106,7 +106,7 @@ func shardedStream(ctx context.Context, maxColors int, opts Options) (*Result, m
 			lo, _ := slices.BinarySearch(parts, int32(shard))
 			hi, _ := slices.BinarySearch(parts, int32(shard+1))
 			// The shard's workers are idle until it is mapped, so they
-			// check its sections too.
+			// checksum its sections too.
 			sm, err := sf.MapShard(shard, workers)
 			if err == nil && len(sm.VMap) != hi-lo {
 				// MapShard proved every VMap entry is a shard vertex;

@@ -35,8 +35,8 @@ func VerifySharded(sf *graph.ShardedFile, colors []uint16) error {
 	return VerifyShardedParallel(sf, colors, 1)
 }
 
-// VerifyShardedParallel is VerifySharded with each shard's map checks
-// (MapShard) and its check of the coloring split across `workers`
+// VerifyShardedParallel is VerifySharded with each shard's checksum
+// pass (MapShard) and its check of the coloring split across `workers`
 // goroutines, the latter as VerifyParallel splits a graph. Shards are
 // still mapped one at a time, in order, so the error is exactly the one
 // VerifySharded returns and residency stays at one shard.

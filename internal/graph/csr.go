@@ -146,7 +146,7 @@ func (g *CSR) Validate() error {
 		}
 		return nil
 	}
-	sorted, err := checkLists(g.Offsets, g.Edges, uint64(g.NumVertices()), descents(g.Edges), 1)
+	sorted, err := checkLists(g.Offsets, g.Edges, uint64(g.NumVertices()), descents(g.Edges))
 	if err != nil {
 		return fmt.Errorf("graph: %w", err)
 	}
@@ -164,84 +164,40 @@ func (g *CSR) Validate() error {
 // maximum, so the range check then reads only last entries; a
 // violation, or an unsorted list, re-scans in order so the error names
 // the first bad entry. Errors carry no package prefix.
-//
-// The walk over the lists and the re-scan split into vertex and entry
-// ranges across up to `workers` goroutines (splitParts of the offsets
-// and edges bytes), and the lowest range's violation wins, so the
-// result and the error are the same at every worker count.
-func checkLists(offsets []int64, edges []VertexID, n uint64, desc, workers int) (sorted bool, err error) {
+func checkLists(offsets []int64, edges []VertexID, n uint64, desc int) (sorted bool, err error) {
 	if offsets[0] != 0 {
 		return false, fmt.Errorf("Offsets[0] = %d, want 0", offsets[0])
 	}
 	last := len(offsets) - 1
 	ne := int64(len(edges))
-	walks := make([]listWalk, splitParts(8*len(offsets), workers))
-	fanOut(len(walks), func(w int) {
-		lo, hi := partRange(last, len(walks), w)
-		walks[w] = walkLists(offsets, edges, lo, hi)
-	})
 	atStarts := 0
 	var top VertexID // largest last entry of a non-empty list
-	for _, r := range walks {
-		if r.err != nil {
-			return false, r.err
+	for v := 0; v < last; v++ {
+		lo, hi := offsets[v], offsets[v+1]
+		if hi < lo {
+			return false, fmt.Errorf("offsets not monotone at vertex %d (%d > %d)", v, lo, hi)
 		}
-		atStarts += r.atStarts
-		top = max(top, r.top)
+		// An offset past len(edges) fails the terminator check below,
+		// so skipping such a list here loses nothing.
+		if lo < hi && hi <= ne {
+			if lo > 0 && edges[lo] < edges[lo-1] {
+				atStarts++
+			}
+			top = max(top, edges[hi-1])
+		}
 	}
 	if offsets[last] != ne {
 		return false, fmt.Errorf("Offsets[%d] = %d, want len(Edges) = %d", last, offsets[last], ne)
 	}
 	sorted = desc == atStarts
 	if !sorted || (ne > 0 && uint64(top) >= n) {
-		ranges := splitParts(4*len(edges), workers)
-		err = lowestError(ranges, func(w int) error {
-			lo, hi := partRange(len(edges), ranges, w)
-			for i, d := range edges[lo:hi] {
-				if uint64(d) >= n {
-					return fmt.Errorf("edge %d destination %d out of range (n=%d)", lo+i, d, n)
-				}
+		for i, d := range edges {
+			if uint64(d) >= n {
+				return false, fmt.Errorf("edge %d destination %d out of range (n=%d)", i, d, n)
 			}
-			return nil
-		})
-	}
-	return err == nil && sorted, err
-}
-
-// listWalk is one vertex range's share of checkLists' walk: the list
-// starts that hold a descent, the largest last entry, and the range's
-// first non-monotone offset.
-type listWalk struct {
-	atStarts int
-	top      VertexID
-	err      error
-}
-
-// walkLists walks the lists of vertices [a, b). checkLists has checked
-// that offsets[0] is 0, so a negative offsets[a] means an earlier range
-// holds a decrease, which that range reports; this one stops at once,
-// before it could index edges with a negative offset.
-func walkLists(offsets []int64, edges []VertexID, a, b int) (r listWalk) {
-	if offsets[a] < 0 {
-		return r
-	}
-	ne := int64(len(edges))
-	for v := a; v < b; v++ {
-		lo, hi := offsets[v], offsets[v+1]
-		if hi < lo {
-			r.err = fmt.Errorf("offsets not monotone at vertex %d (%d > %d)", v, lo, hi)
-			return r
-		}
-		// An offset past len(edges) fails the terminator check,
-		// so skipping such a list here loses nothing.
-		if lo < hi && hi <= ne {
-			if lo > 0 && edges[lo] < edges[lo-1] {
-				r.atStarts++
-			}
-			r.top = max(r.top, edges[hi-1])
 		}
 	}
-	return r
+	return sorted, nil
 }
 
 // descents counts the entries of es below their predecessor. The count

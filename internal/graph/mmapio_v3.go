@@ -643,7 +643,7 @@ func ReadBinaryV3(r io.Reader) (*CSR, *V3Meta, error) {
 		}
 		sp := &shards[s]
 		sp.offsets, sp.edges, sp.vmap = decodeV3Shard(d, offB, edgeB, vmapB)
-		if _, err := validateShardSections(s, f.nv, m.parts, sp.offsets, sp.edges, sp.vmap, sums.desc, 1); err != nil {
+		if _, err := validateShardSections(s, f.nv, m.parts, sp.offsets, sp.edges, sp.vmap, sums.desc); err != nil {
 			return nil, nil, err
 		}
 	}

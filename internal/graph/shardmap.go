@@ -20,10 +20,10 @@ import (
 // uses the sections as the CSR in place. A multi-shard file colors in
 // core through Materialize's copy. Older files' boundary blocks are
 // never mapped; only the copying reader reads (and ignores) them.
-// MapShard checks a shard on as many goroutines as its caller's run
+// MapShard checksums a shard on as many goroutines as its caller's run
 // has workers, cutting each section longer than two minSplitBytes
 // parts and joining the part checksums with a CRC32-C combine; MapCSR
-// and the copying reader check on one goroutine.
+// and the copying reader checksum on one goroutine.
 // All methods are safe for concurrent use; the residency counters are
 // the instrumentation the bounded-residency invariant test asserts on.
 type ShardedFile struct {
@@ -213,14 +213,15 @@ type ShardMap struct {
 // file range), verifies their CRCs and structural invariants, and
 // charges the bytes to the handle's residency counters.
 //
-// The checks run on up to `workers` goroutines, the caller's among
-// them: each section is cut into contiguous parts of at least
+// The checksum pass runs on up to `workers` goroutines, the caller's
+// among them: each section is cut into contiguous parts of at least
 // minSplitBytes (a shorter section stays on one goroutine), each part
-// is checksummed and its descents counted, and the part checksums are
-// joined with a CRC32-C combine; the list and vertex-map checks split
-// by vertex range. The sections, Sorted and every error text are the
-// same at every worker count. The stream passes its per-shard worker
-// count and VerifyShardedParallel its own; MapCSR maps on one goroutine.
+// is checksummed and its edges' descents counted, and the part
+// checksums are joined with a CRC32-C combine. The list and vertex-map
+// checks that follow run on the calling goroutine. The sections, Sorted
+// and every error text are the same at every worker count. The stream
+// passes its per-shard worker count and VerifyShardedParallel its own;
+// MapCSR maps on one goroutine.
 func (sf *ShardedFile) MapShard(s, workers int) (*ShardMap, error) {
 	if sf.cl.done() {
 		return nil, fmt.Errorf("graph: ShardedFile used after Close")
@@ -263,7 +264,7 @@ func (sf *ShardedFile) MapShard(s, workers int) (*ShardMap, error) {
 	} else {
 		sm.Offsets, sm.Edges, sm.VMap = decodeV3Shard(d, offB, edgeB, vmapB)
 	}
-	if sm.sorted, err = validateShardSections(s, sf.hdr.nv, sf.meta.parts, sm.Offsets, sm.Edges, sm.VMap, sums.desc, workers); err != nil {
+	if sm.sorted, err = validateShardSections(s, sf.hdr.nv, sf.meta.parts, sm.Offsets, sm.Edges, sm.VMap, sums.desc); err != nil {
 		releaseLoad(mapping)
 		return nil, err
 	}
@@ -314,27 +315,20 @@ func sumDescents(b []byte) (sum uint32, desc int) {
 // pass checkLists against the global vertex count (desc counts the
 // edges' descents, as sumShardSections returns it), and the vertex map
 // is strictly ascending over shard s's vertices. It reports whether
-// every adjacency list is ascending. Both checks split by range across
-// up to `workers` goroutines, and the lowest range's error wins.
-func validateShardSections(s int, nv uint64, parts []int32, offsets []int64, edges, vmap []VertexID, desc, workers int) (sorted bool, err error) {
-	if sorted, err = checkLists(offsets, edges, nv, desc, workers); err != nil {
+// every adjacency list is ascending.
+func validateShardSections(s int, nv uint64, parts []int32, offsets []int64, edges, vmap []VertexID, desc int) (sorted bool, err error) {
+	if sorted, err = checkLists(offsets, edges, nv, desc); err != nil {
 		return false, fmt.Errorf("graph: v3 shard %d %w", s, err)
 	}
-	ranges := splitParts(4*len(vmap), workers)
-	err = lowestError(ranges, func(w int) error {
-		lo, hi := partRange(len(vmap), ranges, w)
-		for i := lo; i < hi; i++ {
-			v := vmap[i]
-			if uint64(v) >= nv || parts[v] != int32(s) {
-				return fmt.Errorf("graph: v3 shard %d vmap entry %d not a shard vertex", s, v)
-			}
-			if i > 0 && v <= vmap[i-1] {
-				return fmt.Errorf("graph: v3 shard %d vmap not strictly ascending at %d", s, i)
-			}
+	for i, v := range vmap {
+		if uint64(v) >= nv || parts[v] != int32(s) {
+			return false, fmt.Errorf("graph: v3 shard %d vmap entry %d not a shard vertex", s, v)
 		}
-		return nil
-	})
-	return err == nil && sorted, err
+		if i > 0 && v <= vmap[i-1] {
+			return false, fmt.Errorf("graph: v3 shard %d vmap not strictly ascending at %d", s, i)
+		}
+	}
+	return sorted, nil
 }
 
 // LocalIndex translates a global vertex ID to its local index in this
@@ -417,15 +411,14 @@ type MappedCSR struct {
 	close closeOnce
 }
 
-// MapCSR maps the only shard of a one-shard file, on one goroutine, and
-// returns it as the whole graph. MapShard's pass has already checked the
-// checksums, the
-// offsets, every destination and the vertex map — which, with one
-// shard covering every vertex, is the identity, so the local offsets
-// are the global ones — and counted the lists' sortedness from the
-// data, which the CSR records (never the header's flag). The shard map
-// is charged to the handle's residency counters until the MappedCSR is
-// closed.
+// MapCSR maps the only shard of a one-shard file, on one goroutine,
+// and returns it as the whole graph. MapShard's pass has already
+// checked the checksums, the offsets, every destination and the vertex
+// map — which, with one shard covering every vertex, is the identity,
+// so the local offsets are the global ones — and counted the lists'
+// sortedness from the data, which the CSR records (never the header's
+// flag). The shard map is charged to the handle's residency counters
+// until the MappedCSR is closed.
 func (sf *ShardedFile) MapCSR() (*MappedCSR, error) {
 	if sf.Shards() != 1 {
 		return nil, fmt.Errorf("graph: MapCSR needs a one-shard v3 file (this one has %d shards)", sf.Shards())

@@ -6,19 +6,17 @@ import (
 	"sync"
 )
 
-// MapShard's section checks split across the caller's workers. Each
+// MapShard's checksum pass splits across the caller's workers. Each
 // section is cut into contiguous parts of at least minSplitBytes, one
 // per goroutine: the checksums are taken per part and joined with
-// crcCombine, the descents are counted per part plus one comparison at
-// each seam, and the per-vertex walks run over vertex ranges, the
-// lowest range's error winning. Every result and every error text is
-// the one-goroutine one.
+// crcCombine, and the edges' descents are counted per part plus one
+// comparison at each seam. The results are the one-goroutine ones.
 
 // minSplitBytes is the smallest part a section is cut into: a section
 // shorter than two of them stays on one goroutine. Measured on a 2-vCPU
 // host (one-shard maps at one and two workers, 401 alternating pairs
-// per size), two goroutines mapped 256–512 KiB of edges ~9% slower than
-// one, broke even at 640 KiB and were 8% faster at 768 KiB, 18% at
+// per size), two goroutines checksummed 256–512 KiB of edges ~9% slower
+// than one, broke even at 640 KiB and were 8% faster at 768 KiB, 18% at
 // 1 MiB and 29% at 2 MiB.
 const minSplitBytes = 384 << 10
 
@@ -32,20 +30,6 @@ func splitParts(n, workers int) int {
 // partRange returns part w of [0, n) cut into `parts` contiguous ranges.
 func partRange(n, parts, w int) (lo, hi int) {
 	return n * w / parts, n * (w + 1) / parts
-}
-
-// lowestError runs check(0), …, check(parts-1) on fanOut and returns the
-// lowest part's error: with each part stopping at its first violation,
-// that is the error a single in-order pass returns.
-func lowestError(parts int, check func(w int) error) error {
-	errs := make([]error, parts)
-	fanOut(parts, func(w int) { errs[w] = check(w) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // sectionPart returns part w of a section of 4-byte entries cut into

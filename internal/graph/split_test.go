@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -144,29 +143,6 @@ func v3Sections(t *testing.T, path string, s int) (img []byte, off, edges, vmap 
 	return img, off, edges, vmap
 }
 
-// resumV3 rewrites every shard's section checksums, then the meta and
-// header checksums, so a structural fault planted in a section reaches
-// MapShard's structural checks instead of failing a checksum.
-func resumV3(img []byte) {
-	f, err := parseV3Header(img)
-	if err != nil {
-		panic(err)
-	}
-	meta := img[binaryV3HeaderSize:][:v3MetaLen(f.nv, f.shards)]
-	dirAt := (f.nv*4+7)&^7 + 16
-	for s := uint64(0); s < uint64(f.shards); s++ {
-		rec := meta[dirAt+s*binaryV3DirRecord:]
-		u := func(i int) uint64 { return binary.LittleEndian.Uint64(rec[8*i:]) }
-		offOff, edgesOff, vmapOff, nvLocal, neLocal := u(0), u(1), u(2), u(4), u(5)
-		sum := func(lo, n uint64) uint64 { return uint64(crc32.Checksum(img[lo:lo+n], crcTable)) }
-		binary.LittleEndian.PutUint64(rec[64:], sum(offOff, (nvLocal+1)*8)<<32|sum(edgesOff, neLocal*4))
-		binary.LittleEndian.PutUint64(rec[72:], sum(vmapOff, nvLocal*4)<<32)
-	}
-	f.metaSum = crc32.Checksum(meta, crcTable)
-	hdr := v3Header(f)
-	copy(img, hdr[:])
-}
-
 // mapErrorsAgree writes img and requires MapShard of shard s to fail
 // with the same text at 1 to 4 workers, containing want, and leave
 // nothing mapped.
@@ -223,42 +199,6 @@ func TestShardMapSplitChecksumErrors(t *testing.T) {
 				mapErrorsAgree(t, bad, 0, sec.want, fmt.Sprintf("%s part %d of %d", sec.name, p, parts))
 			}
 		}
-	}
-}
-
-// TestShardMapSplitStructuralErrors plants, with valid checksums, a
-// fault in the last part of a split section: an out-of-range
-// destination, a non-monotone offset, and a vertex-map entry out of
-// range or out of order. Each fails with the one-worker text at every
-// worker count.
-func TestShardMapSplitStructuralErrors(t *testing.T) {
-	g := splitTestGraph(t)
-	n := g.NumVertices()
-	img, off, edges, vmap := v3Sections(t, writeV3File(t, g, make([]int32, n), 1, V3PartitionRanges), 0)
-	put := func(at int, v uint64, size int) []byte {
-		b := slices.Clone(img)
-		if size == 8 {
-			binary.LittleEndian.PutUint64(b[at:], v)
-		} else {
-			binary.LittleEndian.PutUint32(b[at:], uint32(v))
-		}
-		resumV3(b)
-		return b
-	}
-	lastOff := off[1] - 16 // offsets[n-1]; offsets[n] ends the section
-	lastV := vmap[1] - 4
-	for _, c := range []struct {
-		name string
-		img  []byte
-		want string
-	}{
-		{"destination", put(edges[1]-4, uint64(n+7), 4), fmt.Sprintf("destination %d out of range", n+7)},
-		{"offset", put(lastOff, binary.LittleEndian.Uint64(img[lastOff-8:])-1, 8),
-			fmt.Sprintf("v3 shard 0 offsets not monotone at vertex %d", n-2)},
-		{"vmap entry out of range", put(lastV, uint64(n+3), 4), fmt.Sprintf("vmap entry %d not a shard vertex", n+3)},
-		{"vmap entry repeated", put(lastV, uint64(n-2), 4), fmt.Sprintf("vmap not strictly ascending at %d", n-1)},
-	} {
-		mapErrorsAgree(t, c.img, 0, c.want, c.name)
 	}
 }
 
