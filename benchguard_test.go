@@ -21,12 +21,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"bitcolor/internal/exec"
 	"bitcolor/internal/experiments"
 )
 
@@ -89,20 +86,6 @@ func guardGraph(t *testing.T, abbrev string) *Graph {
 	return prepared
 }
 
-// minTime returns the fastest of n runs of f — the standard way to
-// strip scheduler noise from a wall-clock micro-measurement.
-func minTime(n int, f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // minTimePair interleaves n runs of a and b, alternating which goes
 // first each iteration, and returns the per-arm minimum. Running the
 // arms back-to-back in separate phases lets slow drift (GC pacing, CPU
@@ -132,29 +115,47 @@ func minTimePair(n int, a, b func()) (minA, minB time.Duration) {
 	return minA, minB
 }
 
+// bitwisePairs is the pair count of the two guards that normalize an
+// engine by sequential bitwise, chosen from the measured spread on a
+// 2-CPU host: over six runs each, the run medians read DCT 0.684–0.690
+// and ParallelBitwise 0.801–0.838 at 101 pairs, and 0.682–0.687 and
+// 0.815–0.827 at 301 (about 1 s per guard). What spread remains lies
+// between runs, not pairs (DCT read 0.66–0.70 over 36 runs of 301), so
+// more pairs would not narrow it. At 301 a run passes inside the 10%
+// tolerance and fails when the guarded arm does 20% more work.
+const bitwisePairs = 301
+
+// engineVsBitwise returns the median of bitwisePairs alternating
+// per-pair ratios of engine e at one worker over sequential bitwise on
+// the preprocessed GD stand-in.
+func engineVsBitwise(t *testing.T, e Engine) float64 {
+	t.Helper()
+	prepared := guardGraph(t, "GD")
+	bitwise := func() {
+		if _, err := Color(prepared, ColorOptions{Engine: EngineBitwise}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine := func() {
+		if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
+			Engine: e, Workers: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	medianPairRatio(bitwisePairs/10, engine, bitwise) // warm the engines and the allocator
+	return medianPairRatio(bitwisePairs, engine, bitwise)
+}
+
 func TestBenchGuardParallelBitwiseRegression(t *testing.T) {
 	if os.Getenv(benchGuardEnv) == "" {
 		t.Skipf("set %s=1 to run the benchmark regression guard", benchGuardEnv)
 	}
-	prepared := guardGraph(t, "GD")
 	base := loadBaseline(t)
-
-	bitwise := minTime(7, func() {
-		if _, err := Color(prepared, ColorOptions{Engine: EngineBitwise}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	parallel := minTime(9, func() {
-		if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
-			Engine: EngineParallelBitwise, Workers: 1,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	ratio := float64(parallel) / float64(bitwise)
+	ratio := engineVsBitwise(t, EngineParallelBitwise)
 	limit := base.GDRatio * 1.10
-	t.Logf("parallelbitwise %v / bitwise %v = ratio %.4f (baseline %.4f, limit %.4f)",
-		parallel, bitwise, ratio, base.GDRatio, limit)
+	t.Logf("parallelbitwise / bitwise: median of %d pair ratios %.4f (baseline %.4f, limit %.4f)",
+		bitwisePairs, ratio, base.GDRatio, limit)
 	if ratio > limit {
 		t.Fatalf("ParallelBitwise regressed: ratio %.4f exceeds baseline %.4f by more than 10%%",
 			ratio, base.GDRatio)
@@ -165,25 +166,11 @@ func TestBenchGuardDCTRegression(t *testing.T) {
 	if os.Getenv(benchGuardEnv) == "" {
 		t.Skipf("set %s=1 to run the benchmark regression guard", benchGuardEnv)
 	}
-	prepared := guardGraph(t, "GD")
 	base := loadBaseline(t)
-
-	bitwise := minTime(7, func() {
-		if _, err := Color(prepared, ColorOptions{Engine: EngineBitwise}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	dct := minTime(9, func() {
-		if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
-			Engine: EngineDCT, Workers: 1,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	ratio := float64(dct) / float64(bitwise)
+	ratio := engineVsBitwise(t, EngineDCT)
 	limit := base.DCTRatio * 1.10
-	t.Logf("dct %v / bitwise %v = ratio %.4f (baseline %.4f, limit %.4f)",
-		dct, bitwise, ratio, base.DCTRatio, limit)
+	t.Logf("dct / bitwise: median of %d pair ratios %.4f (baseline %.4f, limit %.4f)",
+		bitwisePairs, ratio, base.DCTRatio, limit)
 	if ratio > limit {
 		t.Fatalf("DCT engine regressed: ratio %.4f exceeds baseline %.4f by more than 10%%",
 			ratio, base.DCTRatio)
@@ -247,57 +234,18 @@ func TestBenchGuardExecDispatchOverhead(t *testing.T) {
 		t.Skipf("set %s=1 to run the dispatch overhead guard", benchGuardEnv)
 	}
 	base := loadBaseline(t)
-	const items = 1 << 21
-	data := make([]uint64, items)
-	for i := range data {
-		data[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
-	}
-	work := func(lo, hi int) uint64 {
-		var acc uint64
-		for _, x := range data[lo:hi] {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			acc += x
-		}
-		return acc
-	}
-	// Both arms run one worker so the comparison isolates per-block
-	// dispatch cost from goroutine scheduling.
+	// Both arms are the exec experiment's and run one worker, so the
+	// comparison isolates per-block dispatch cost from goroutine
+	// scheduling.
+	work := experiments.NewDispatchWork(1)
 	var inlineSum, execSum uint64
-	inline := func() {
-		var cursor atomic.Int64
-		var acc uint64
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := cursor.Add(exec.DispatchBlock) - exec.DispatchBlock
-				if lo >= items {
-					break
-				}
-				hi := lo + exec.DispatchBlock
-				if hi > items {
-					hi = items
-				}
-				acc += work(int(lo), int(hi))
-			}
-		}()
-		wg.Wait()
-		inlineSum = acc
-	}
+	inline := func() { inlineSum = work.Inline(1) }
 	blocks := func() {
-		var cur exec.BlockCursor
-		cur.Reset(items)
-		var acc uint64
-		if err := exec.Blocks(context.Background(), 1, &cur, func(w, lo, hi int) error {
-			acc += work(lo, hi)
-			return nil
-		}); err != nil {
+		sum, err := work.Blocks(context.Background(), 1)
+		if err != nil {
 			t.Fatal(err)
 		}
-		execSum = acc
+		execSum = sum
 	}
 	// The 5% bound is tight against a ~2ms workload, so like the observer
 	// guard this one retries: a single GC pause or scheduler hiccup

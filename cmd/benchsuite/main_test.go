@@ -46,6 +46,9 @@ func TestRunLocalityEmitsJSON(t *testing.T) {
 	if file.Exp != "locality" {
 		t.Fatalf("exp = %q, want locality", file.Exp)
 	}
+	if file.GOMAXPROCS < 1 || file.NumCPU < 1 {
+		t.Fatalf("host stamp gomaxprocs=%d num_cpu=%d, want both at least 1", file.GOMAXPROCS, file.NumCPU)
+	}
 	// 2 datasets × 2×2 ablation arms.
 	if len(file.Records) != 8 {
 		t.Fatalf("got %d records, want 8", len(file.Records))

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"bitcolor/internal/obs"
 )
@@ -29,18 +30,6 @@ type BenchRecord struct {
 	ValidateNanos int64   `json:"validate_ns,omitempty"`
 	ColorNanos    int64   `json:"color_ns,omitempty"`
 	LoadRatio     float64 `json:"load_ratio,omitempty"`
-
-	// Partitioned-coloring shape, filled only by the shard experiment;
-	// additive omitempty fields again, so the schema version stays 1.
-	Shards           int   `json:"shards,omitempty"`
-	CutEdges         int64 `json:"cut_edges,omitempty"`
-	BoundaryVertices int   `json:"boundary_vertices,omitempty"`
-
-	// Out-of-core streaming shape, filled only by the outofcore
-	// experiment; additive omitempty fields, schema version stays 1.
-	PartitionNanos    int64 `json:"partition_ns,omitempty"`
-	ResidentPeakBytes int64 `json:"resident_peak_bytes,omitempty"`
-	CacheHit          bool  `json:"partition_cache_hit,omitempty"`
 }
 
 // BenchSchemaVersion identifies the BENCH_<exp>.json envelope layout;
@@ -50,10 +39,13 @@ const BenchSchemaVersion = 1
 // BenchFile is the on-disk envelope of one BENCH_<exp>.json emission:
 // a schema version so downstream tooling can detect layout changes, the
 // VCS revision the binary was built from (when the build recorded one),
-// and the records themselves.
+// the host's GOMAXPROCS and CPU count the records were timed under, and
+// the records themselves.
 type BenchFile struct {
 	SchemaVersion int           `json:"schema_version"`
 	GitRevision   string        `json:"git_revision,omitempty"`
+	GOMAXPROCS    int           `json:"gomaxprocs"`
+	NumCPU        int           `json:"num_cpu"`
 	Exp           string        `json:"exp"`
 	Records       []BenchRecord `json:"records"`
 }
@@ -92,6 +84,8 @@ func (c *Context) EmitBench(exp string, recs []BenchRecord) error {
 	file := BenchFile{
 		SchemaVersion: BenchSchemaVersion,
 		GitRevision:   GitRevision(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		NumCPU:        runtime.NumCPU(),
 		Exp:           exp,
 		Records:       recs,
 	}

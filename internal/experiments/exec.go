@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -14,23 +15,39 @@ import (
 // go/WaitGroup spawn, and now route through exec.Blocks (shared cursor,
 // ctx-stride polling, first-error collection). This micro-benchmark runs
 // the same synthetic block workload through both shapes so the dispatch
-// overhead is isolated from any coloring kernel, and benchguard pins the
-// ratio so the substrate can never quietly grow slower than the inline
-// loops it replaced.
+// overhead is isolated from any coloring kernel, and benchguard times
+// the same two arms so the substrate can never quietly grow slower than
+// the inline loops it replaced.
 
 // execBenchItems sizes the synthetic workload: 2^21 items at ~4 ops each
 // is long enough that per-block dispatch overhead is the measured
 // quantity, not goroutine startup.
 const execBenchItems = 1 << 21
 
-// execWorkRange is the per-block kernel both arms run: a cheap xorshift
+// DispatchWork is the dispatch yardstick, shared by the exec experiment
+// and the dispatch-overhead guard: execBenchItems items that either
+// dispatch shape walks in exec.DispatchBlock blocks, running the same
+// per-block kernel.
+type DispatchWork []uint64
+
+// NewDispatchWork fills the workload deterministically from seed.
+func NewDispatchWork(seed int64) DispatchWork {
+	d := make(DispatchWork, execBenchItems)
+	for i := range d {
+		// Deterministic non-trivial fill (splitmix-style increment).
+		d[i] = uint64(i)*0x9e3779b97f4a7c15 + uint64(seed)
+	}
+	return d
+}
+
+// workRange is the per-block kernel both arms run: a cheap xorshift
 // mix folded into an accumulator, standing in for a speculation loop's
 // per-vertex work. The returned checksum keeps the compiler from
-// discarding the loop and lets the experiment assert both dispatch
-// shapes visited exactly the same items.
-func execWorkRange(data []uint64, lo, hi int) uint64 {
+// discarding the loop and lets a caller assert both dispatch shapes
+// visited exactly the same items.
+func (d DispatchWork) workRange(lo, hi int) uint64 {
 	var acc uint64
-	for _, x := range data[lo:hi] {
+	for _, x := range d[lo:hi] {
 		x ^= x << 13
 		x ^= x >> 7
 		x ^= x << 17
@@ -39,13 +56,14 @@ func execWorkRange(data []uint64, lo, hi int) uint64 {
 	return acc
 }
 
-// execInlineDispatch replicates the pre-refactor engine scaffolding
-// verbatim: a private atomic block cursor claimed in DispatchBlock
-// chunks by hand-spawned goroutines joined on a WaitGroup.
-func execInlineDispatch(workers int, data []uint64) uint64 {
+// Inline replicates the pre-refactor engine scaffolding verbatim: a
+// private atomic block cursor claimed in DispatchBlock chunks by
+// hand-spawned goroutines joined on a WaitGroup. It returns the
+// workload's checksum.
+func (d DispatchWork) Inline(workers int) uint64 {
 	var cursor atomic.Int64
 	var sum atomic.Uint64
-	n := int64(len(data))
+	n := int64(len(d))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -61,7 +79,7 @@ func execInlineDispatch(workers int, data []uint64) uint64 {
 				if hi > n {
 					hi = n
 				}
-				acc += execWorkRange(data, int(lo), int(hi))
+				acc += d.workRange(int(lo), int(hi))
 			}
 			sum.Add(acc)
 		}()
@@ -70,15 +88,15 @@ func execInlineDispatch(workers int, data []uint64) uint64 {
 	return sum.Load()
 }
 
-// execBlocksDispatch runs the identical workload through the shared
-// substrate the engines now use.
-func execBlocksDispatch(ctx *Context, workers int, data []uint64) (uint64, error) {
+// Blocks runs the identical workload through the shared substrate the
+// engines now use and returns the same checksum as Inline.
+func (d DispatchWork) Blocks(ctx context.Context, workers int) (uint64, error) {
 	var cur exec.BlockCursor
-	cur.Reset(len(data))
+	cur.Reset(len(d))
 	// One padded slot per worker so the accumulators don't false-share.
 	sums := make([]uint64, workers*8)
-	err := exec.Blocks(ctx.RunCtx(), workers, &cur, func(w, lo, hi int) error {
-		sums[w*8] += execWorkRange(data, lo, hi)
+	err := exec.Blocks(ctx, workers, &cur, func(w, lo, hi int) error {
+		sums[w*8] += d.workRange(lo, hi)
 		return nil
 	})
 	if err != nil {
@@ -109,12 +127,8 @@ type ExecResult struct {
 // ExecDispatch measures exec.Blocks against the pre-refactor inline
 // cursor loop on the synthetic workload at 1, 2 and 4 workers.
 func ExecDispatch(ctx *Context) (*ExecResult, error) {
-	data := make([]uint64, execBenchItems)
-	for i := range data {
-		// Deterministic non-trivial fill (splitmix-style increment).
-		data[i] = uint64(i)*0x9e3779b97f4a7c15 + uint64(ctx.Seed)
-	}
-	res := &ExecResult{Items: len(data)}
+	work := NewDispatchWork(ctx.Seed)
+	res := &ExecResult{Items: len(work)}
 	best := func(f func() (uint64, error)) (time.Duration, uint64, error) {
 		var (
 			bestD time.Duration
@@ -136,13 +150,13 @@ func ExecDispatch(ctx *Context) (*ExecResult, error) {
 	}
 	for _, w := range []int{1, 2, 4} {
 		inlineD, inlineSum, err := best(func() (uint64, error) {
-			return execInlineDispatch(w, data), nil
+			return work.Inline(w), nil
 		})
 		if err != nil {
 			return nil, err
 		}
 		execD, execSum, err := best(func() (uint64, error) {
-			return execBlocksDispatch(ctx, w, data)
+			return work.Blocks(ctx.RunCtx(), w)
 		})
 		if err != nil {
 			return nil, err

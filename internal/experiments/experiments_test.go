@@ -274,73 +274,13 @@ func TestExecDispatchExperiment(t *testing.T) {
 	}
 }
 
-func TestOutOfCoreExperiment(t *testing.T) {
-	ctx, buf := smallCtx()
-	ctx.Datasets = ctx.Datasets[:2]
-	r, err := OutOfCore(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2*3 {
-		t.Fatalf("rows = %d, want 6", len(r.Rows))
-	}
-	colorsBy := map[string]int{}
-	for _, row := range r.Rows {
-		if row.Colors <= 0 || row.Bytes <= 0 || row.Total() <= 0 || row.PeakResident <= 0 {
-			t.Fatalf("%s %s: empty measurement %+v", row.Dataset, row.Arm, row)
-		}
-		// All three arms run the same deterministic sharded fixpoint.
-		if want, seen := colorsBy[row.Dataset]; seen && want != row.Colors {
-			t.Fatalf("%s %s: %d colors, other arm got %d", row.Dataset, row.Arm, row.Colors, want)
-		}
-		colorsBy[row.Dataset] = row.Colors
-		switch row.Arm {
-		case "bcsr-v3-incore":
-			if row.CacheHit || row.ResidentShards != 0 {
-				t.Fatalf("in-core arm carries streaming fields: %+v", row)
-			}
-		case "bcsr-v3-cold":
-			if row.CacheHit || row.Partition <= 0 || row.Write <= 0 {
-				t.Fatalf("cold arm shape off: %+v", row)
-			}
-		case "bcsr-v3-warm":
-			if !row.CacheHit || row.Partition != 0 || row.Write != 0 {
-				t.Fatalf("warm arm shape off: %+v", row)
-			}
-		default:
-			t.Fatalf("unknown arm %q", row.Arm)
-		}
-	}
-	if r.GeoStreamRatio <= 0 || r.GeoWarmRatio <= 0 || r.GeoResidencyRatio <= 0 {
-		t.Fatalf("missing geomeans: %+v", r)
-	}
-	// The streamed arms must actually hold less than the full adjacency.
-	if r.GeoResidencyRatio >= 1 {
-		t.Fatalf("streamed peak residency %.2fx not below the in-core footprint", r.GeoResidencyRatio)
-	}
-	r.Print(ctx)
-	if !strings.Contains(buf.String(), "Out-of-core streaming") {
-		t.Fatal("print missing title")
-	}
-	recs := r.BenchRecords()
-	if len(recs) != len(r.Rows) {
-		t.Fatalf("got %d records for %d rows", len(recs), len(r.Rows))
-	}
-	for _, rec := range recs {
-		if rec.NsPerEdge <= 0 || rec.WallNanos <= 0 || rec.ResidentPeakBytes <= 0 || rec.Shards != outOfCoreShards {
-			t.Fatalf("empty measurement in record %+v", rec)
-		}
-	}
-}
-
 func TestRunnerRegistryComplete(t *testing.T) {
 	names := Names()
 	want := []string{
-		"cacheablation", "cachesweep", "conflicts", "dct", "dramsweep",
-		"e2e", "exec", "fig11", "fig12", "fig13", "fig14", "fig3a", "fig3b",
+		"cacheablation", "cachesweep", "conflicts", "dramsweep", "e2e",
+		"exec", "fig11", "fig12", "fig13", "fig14", "fig3a", "fig3b",
 		"generality", "hostpar", "locality", "lruvshdc", "multicard",
-		"outofcore", "quality", "relaxed", "scorecard", "shard", "table2",
-		"table3", "table4",
+		"quality", "relaxed", "scorecard", "table2", "table3", "table4",
 	}
 	desc := Descriptions()
 	for _, n := range names {
@@ -549,8 +489,9 @@ func TestHostPar(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(r.Rows), 2*len(sweep))
 	}
 	for _, row := range r.Rows {
-		if row.SpecColors <= 0 || row.ParColors <= 0 {
-			t.Fatalf("%s W%d: colors %d/%d", row.Dataset, row.Workers, row.SpecColors, row.ParColors)
+		if row.SpecColors <= 0 || row.ParColors <= 0 || row.DCTColors <= 0 {
+			t.Fatalf("%s W%d: colors %d/%d/%d", row.Dataset, row.Workers,
+				row.SpecColors, row.ParColors, row.DCTColors)
 		}
 		if row.SpecStats.Rounds < 1 || row.ParStats.Rounds < 1 {
 			t.Fatalf("%s W%d: rounds %d/%d", row.Dataset, row.Workers,
@@ -562,8 +503,11 @@ func TestHostPar(t *testing.T) {
 		}
 	}
 	r.Print(ctx)
-	if !strings.Contains(buf.String(), "Host-parallel") {
+	if !strings.Contains(buf.String(), "Host-parallel") || !strings.Contains(buf.String(), "dct_ms") {
 		t.Fatal("print missing")
+	}
+	if recs := r.BenchRecords(); len(recs) != 3*len(r.Rows) {
+		t.Fatalf("got %d records for %d rows", len(recs), len(r.Rows))
 	}
 }
 
@@ -668,48 +612,6 @@ func TestScorecard(t *testing.T) {
 	r.Print(ctx)
 	if !strings.Contains(buf.String(), "scorecard") {
 		t.Fatal("print missing")
-	}
-}
-
-func TestDCTExperiment(t *testing.T) {
-	ctx, buf := smallCtx()
-	ctx.Datasets = ctx.Datasets[:2]
-	r, err := DCT(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweep := hostParWorkerSweep()
-	if len(r.Rows) != 2*len(sweep) {
-		t.Fatalf("rows = %d, want %d", len(r.Rows), 2*len(sweep))
-	}
-	for _, row := range r.Rows {
-		if !row.Deterministic {
-			t.Fatalf("%s W%d: dct diverged from sequential greedy", row.Dataset, row.Workers)
-		}
-		if row.DCTStats.Rounds != 1 || row.DCTStats.ConflictsRepaired != 0 {
-			t.Fatalf("%s W%d: dct not single-pass: %+v", row.Dataset, row.Workers, row.DCTStats)
-		}
-		if row.DCTColors <= 0 || row.ParColors <= 0 || row.SpecColors <= 0 {
-			t.Fatalf("%s W%d: colors %d/%d/%d", row.Dataset, row.Workers,
-				row.DCTColors, row.ParColors, row.SpecColors)
-		}
-		// One worker walks the whole index order itself: nothing to wait on.
-		if row.Workers == 1 && row.DCTStats.Deferred != 0 {
-			t.Fatalf("%s W1 deferred %d vertices", row.Dataset, row.DCTStats.Deferred)
-		}
-	}
-	r.Print(ctx)
-	if !strings.Contains(buf.String(), "Conflict handling ablation") {
-		t.Fatal("print missing title")
-	}
-	recs := r.BenchRecords()
-	if len(recs) != 3*len(r.Rows) {
-		t.Fatalf("got %d records for %d rows", len(recs), len(r.Rows))
-	}
-	for _, rec := range recs {
-		if rec.NsPerEdge <= 0 || rec.WallNanos <= 0 {
-			t.Fatalf("empty measurement in record %+v", rec)
-		}
 	}
 }
 

@@ -58,17 +58,8 @@ func RunnerRegistry() map[string]Runner {
 		"locality": report(Locality, func(ctx *Context, r *LocalityResult) error {
 			return ctx.EmitBench("locality", r.BenchRecords())
 		}),
-		"dct": report(DCT, func(ctx *Context, r *DCTResult) error {
-			return ctx.EmitBench("dct", r.BenchRecords())
-		}),
-		"shard": report(Shard, func(ctx *Context, r *ShardResult) error {
-			return ctx.EmitBench("shard", r.BenchRecords())
-		}),
 		"e2e": report(E2E, func(ctx *Context, r *E2EResult) error {
 			return ctx.EmitBench("e2e", r.BenchRecords())
-		}),
-		"outofcore": report(OutOfCore, func(ctx *Context, r *OutOfCoreResult) error {
-			return ctx.EmitBench("outofcore", r.BenchRecords())
 		}),
 		"exec": report(ExecDispatch, func(ctx *Context, r *ExecResult) error {
 			return ctx.EmitBench("exec", r.BenchRecords())
@@ -99,12 +90,9 @@ func Descriptions() map[string]string {
 		"multicard":     "partitioned multi-card coloring",
 		"lruvshdc":      "LRU vs degree-pinned HVC policy",
 		"scorecard":     "paper-claims scorecard",
-		"hostpar":       "host-parallel engines: GM vs fused bit-wise",
+		"hostpar":       "host-parallel engines: GM vs fused bit-wise vs DCT",
 		"locality":      "blocked color-gather locality study",
-		"dct":           "single-pass DCT engine study",
-		"shard":         "sharded engine partition study",
 		"e2e":           "end-to-end load+color breakdown",
-		"outofcore":     "out-of-core v3 streaming vs in-core sharded",
 		"exec":          "exec.Blocks dispatch overhead vs inline loops",
 	}
 }
@@ -127,8 +115,7 @@ func RunAll(ctx *Context) error {
 		"table3", "fig3a", "fig3b", "table2", "fig11", "fig12", "table4",
 		"fig13", "fig14", "cacheablation", "cachesweep", "dramsweep",
 		"conflicts", "generality", "relaxed", "quality", "hostpar",
-		"locality", "dct", "shard", "e2e", "outofcore", "exec", "multicard",
-		"lruvshdc", "scorecard",
+		"locality", "e2e", "exec", "multicard", "lruvshdc", "scorecard",
 	}
 	reg := RunnerRegistry()
 	for _, name := range order {

@@ -11,6 +11,8 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -18,7 +20,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"bitcolor/internal/coloring"
 	"bitcolor/internal/gen"
 	"bitcolor/internal/graph"
 	"bitcolor/internal/reorder"
@@ -233,6 +237,157 @@ func mapsFile(t *testing.T, path string) bool {
 		}
 	}
 	return false
+}
+
+// v3ShardDir locates one shard's directory record and sections in a
+// BCSR v3 file image (layout in internal/graph/mmapio_v3.go).
+type v3ShardDir struct {
+	rec, offsets, edges, vmap int // byte positions in the image
+	nv, ne                    int // local vertex and adjacency-entry counts
+}
+
+// v3Dirs reads a v3 file image's shard directory.
+func v3Dirs(img []byte) []v3ShardDir {
+	nv := binary.LittleEndian.Uint64(img[16:24])
+	k := int(binary.LittleEndian.Uint32(img[32:36]))
+	pos := 64 + int((nv*4+7)&^7) + 16
+	dirs := make([]v3ShardDir, k)
+	for s := range dirs {
+		at := pos + 80*s
+		field := func(i int) int { return int(binary.LittleEndian.Uint64(img[at+8*i:])) }
+		dirs[s] = v3ShardDir{rec: at, offsets: field(0), edges: field(1), vmap: field(2), nv: field(4), ne: field(5)}
+	}
+	return dirs
+}
+
+// resealV3 recomputes every checksum of a v3 file image whose sections
+// were edited: each shard's section CRC32-Cs in its directory record,
+// then the meta section's CRC32-C and the header's FNV-1a.
+func resealV3(img []byte) {
+	table := crc32.MakeTable(crc32.Castagnoli)
+	sum := func(b []byte) uint64 { return uint64(crc32.Checksum(b, table)) }
+	dirs := v3Dirs(img)
+	for _, d := range dirs {
+		binary.LittleEndian.PutUint64(img[d.rec+64:],
+			sum(img[d.offsets:d.offsets+8*(d.nv+1)])<<32|sum(img[d.edges:d.edges+4*d.ne]))
+		// No boundary block: its CRC, the low half, is that of no bytes.
+		binary.LittleEndian.PutUint64(img[d.rec+72:], sum(img[d.vmap:d.vmap+4*d.nv])<<32)
+	}
+	metaEnd := dirs[len(dirs)-1].rec + 80
+	binary.LittleEndian.PutUint32(img[48:52], crc32.Checksum(img[64:metaEnd], table))
+	h := fnv.New64a()
+	h.Write(img[:56])
+	binary.LittleEndian.PutUint64(img[56:64], h.Sum64())
+}
+
+// TestV3StructuralFaultsBehindValidChecksums plants a structural fault
+// in the last shard of 1-, 2- and 4-shard files and reseals every
+// checksum, so only the structural checks can catch it: an edge
+// destination equal to nv, a decreasing offset, and a vertex-map entry
+// from another shard (in a one-shard file, a vertex no shard holds).
+// OpenGraphFile, a streamed ColorHandle and VerifySharded with greedy
+// colors must each return the structural error, never a checksum error,
+// and leave no mapping, resident byte or goroutine behind once closed.
+func TestV3StructuralFaultsBehindValidChecksums(t *testing.T) {
+	g, err := Generate("EF", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nv := g.NumVertices()
+	greedy := colorsOf(t, g, ColorOptions{Engine: EngineGreedy})
+	goroutines := runtime.NumGoroutine()
+	released := func(label, path string, st ShardMapStats) {
+		t.Helper()
+		if st.Maps != st.Unmaps || st.ResidentBytes != 0 {
+			t.Fatalf("%s: after Close %+v, want maps == unmaps and nothing resident", label, st)
+		}
+		if runtime.GOOS == "linux" && mapsFile(t, path) {
+			t.Fatalf("%s: %s is still mapped after Close", label, path)
+		}
+		for i := 0; runtime.NumGoroutine() > goroutines; i++ {
+			if i == 100 {
+				t.Fatalf("%s: %d goroutines running, %d before", label, runtime.NumGoroutine(), goroutines)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for _, shards := range []int{1, 2, 4} {
+		path := filepath.Join(t.TempDir(), "g.bcsr")
+		if err := SaveGraphV3(path, g, shards, PartitionRanges); err != nil {
+			t.Fatal(err)
+		}
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs := v3Dirs(img)
+		last := len(dirs) - 1
+		d := dirs[last]
+		// The vertex-map fault replaces the shard's last entry with the
+		// first vertex of shard 0, or with nv when there is no other shard.
+		other := nv
+		if last > 0 {
+			other = int(binary.LittleEndian.Uint32(img[dirs[0].vmap:]))
+		}
+		lastOff := d.offsets + 8*(d.nv-1) // the last vertex's list start
+		for _, c := range []struct {
+			name  string
+			at    int
+			value uint64
+			size  int
+			want  string
+		}{
+			{"destination", d.edges + 4*(d.ne-1), uint64(nv), 4,
+				fmt.Sprintf("v3 shard %d edge %d destination %d out of range", last, d.ne-1, nv)},
+			{"offset", lastOff, binary.LittleEndian.Uint64(img[lastOff-8:]) - 1, 8,
+				fmt.Sprintf("v3 shard %d offsets not monotone at vertex %d", last, d.nv-2)},
+			{"vertex map", d.vmap + 4*(d.nv-1), uint64(other), 4,
+				fmt.Sprintf("v3 shard %d vmap entry %d not a shard vertex", last, other)},
+		} {
+			label := fmt.Sprintf("%d shards, %s", shards, c.name)
+			bad := slices.Clone(img)
+			if c.size == 8 {
+				binary.LittleEndian.PutUint64(bad[c.at:], c.value)
+			} else {
+				binary.LittleEndian.PutUint32(bad[c.at:], uint32(c.value))
+			}
+			resealV3(bad)
+			p := filepath.Join(t.TempDir(), "bad.bcsr")
+			if err := os.WriteFile(p, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			structural := func(how string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "checksum") {
+					t.Fatalf("%s, %s: err = %v, want the structural error %q", label, how, err, c.want)
+				}
+			}
+
+			h, err := OpenGraphFile(p)
+			if err == nil {
+				h.Close()
+			}
+			structural("OpenGraphFile", err)
+			released(label+", OpenGraphFile", p, ShardMapStats{})
+
+			h, err = OpenGraphFileOutOfCore(p)
+			if err != nil {
+				t.Fatalf("%s: out-of-core open: %v", label, err)
+			}
+			_, _, err = ColorHandle(h, ColorOptions{Engine: EngineSharded, Workers: 2})
+			structural("ColorHandle", err)
+			h.Close()
+			released(label+", ColorHandle", p, h.ShardStats())
+
+			sf, err := graph.OpenShardedFile(p)
+			if err != nil {
+				t.Fatalf("%s: OpenShardedFile: %v", label, err)
+			}
+			structural("VerifySharded", coloring.VerifySharded(sf, greedy))
+			sf.Close()
+			released(label+", VerifySharded", p, sf.Stats())
+		}
+	}
 }
 
 // TestLegacyFixturesOpenAndColor: files from the retired v1 and v2
