@@ -132,12 +132,9 @@ func TestMappedSortednessFromData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Header bytes [12:16) hold the flags (bit 1: sorted) and
-		// [56:64) the FNV-1a of bytes [0:56).
+		// Header bytes [12:16) hold the flags (bit 1: sorted).
 		binary.LittleEndian.PutUint32(img[12:16], binary.LittleEndian.Uint32(img[12:16])|2)
-		h64 := fnv.New64a()
-		h64.Write(img[:56])
-		binary.LittleEndian.PutUint64(img[56:64], h64.Sum64())
+		resealV3(img)
 		crafted := filepath.Join(t.TempDir(), "crafted.bcsr")
 		if err := os.WriteFile(crafted, img, 0o644); err != nil {
 			t.Fatal(err)
