@@ -189,8 +189,11 @@ type ShardMapStats = graph.ShardMapStats
 // non-v3 formats) — the residency telemetry behind the out-of-core
 // invariant. An open one-shard handle holds its in-core mapping in
 // them: Maps 1, Unmaps 0, and ResidentBytes equal to the shard's
-// section bytes, plus whatever an out-of-core run on the handle has
-// mapped. After Close, Maps equals Unmaps and ResidentBytes is 0.
+// section bytes. An in-core multi-shard handle shows one map and one
+// unmap per shard after the open, which copied every shard's lists
+// into its graph, and nothing resident. Either adds whatever an
+// out-of-core run on the handle has mapped. After Close, Maps equals
+// Unmaps and ResidentBytes is 0.
 func (h *GraphHandle) ShardStats() ShardMapStats {
 	if h.sf == nil {
 		return ShardMapStats{}
@@ -220,10 +223,10 @@ func (h *GraphHandle) Close() error {
 // OpenGraphFile opens a graph for reading, sniffing the on-disk format
 // from content: a one-shard BCSR v3 file is mmap'd and used zero-copy
 // (read into a private copy on platforms without mmap), a multi-shard
-// v3 file is reassembled in core with its persisted partition kept for
-// EngineSharded, BCSR v1/v2 and edge lists go through the copying
-// readers, and ".col" files parse as DIMACS. Close the handle when done
-// with the graph.
+// v3 file is reassembled in core by mapping each shard once and copying
+// its lists, with its persisted partition kept for EngineSharded, BCSR
+// v1/v2 and edge lists go through the copying readers, and ".col" files
+// parse as DIMACS. Close the handle when done with the graph.
 func OpenGraphFile(path string) (*GraphHandle, error) {
 	return OpenGraphFileContext(context.Background(), path)
 }
@@ -284,7 +287,7 @@ func openGraphFile(path string) (*GraphHandle, string, error) {
 	switch format {
 	case FormatBCSR3:
 		// One shard is the whole CSR, mapped in place; more shards are
-		// reassembled through the copying reader. Either way the shard
+		// each mapped once and copied into one CSR. Either way the shard
 		// file stays open, so EngineSharded runs reuse the persisted
 		// partition.
 		sf, err := graph.OpenShardedFile(path)

@@ -157,7 +157,7 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 	ranged := slices.IsSorted(parts)
 	var lists [][]graph.VertexID
 	if !ranged {
-		lists = a.VertexLists(sc.orderBuf(n))
+		lists = graph.VertexLists(parts, a.K, sc.orderBuf(n))
 	}
 
 	// One lane per interior goroutine: shards × workers of them. The

@@ -205,14 +205,16 @@ func FuzzReadBinaryV2(f *testing.F) {
 	})
 }
 
-// FuzzReadBinaryV3 mirrors the v2 fuzz matrix for the shard-major
-// format: corrupted real images (header/meta/directory/section bit
-// flips, bad strategy codes, flipped flags), truncations at every
-// layer, cross-version confusion, and fabricated headers with absurd
-// counts must all fail with explicit errors — never a panic, a memory
-// balloon, or a silent misparse. Whatever the copying reader accepts,
-// the random-access OpenShardedFile path must accept too and agree on
-// the shape, and a one-shard file must map as the same graph.
+// FuzzReadBinaryV3 drives the in-core open of the shard-major format,
+// OpenShardedFile then Materialize, with the v2 fuzz matrix: corrupted
+// real images (header/meta/directory/section bit flips, bad strategy
+// codes, flipped flags), truncations at every layer, cross-version
+// confusion, and fabricated headers with absurd counts must all fail
+// with explicit errors — never a panic, a memory balloon, or a silent
+// misparse — and a failed Materialize leaves no shard mapped. Whatever
+// it accepts is a valid graph with the header's shape and source hash,
+// every shard maps as that graph's lists at any worker count, and a
+// one-shard file maps as the same graph.
 func FuzzReadBinaryV3(f *testing.F) {
 	g, _ := FromEdgeList(6, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 4, V: 5}, {U: 0, V: 5}})
 	parts := []int32{0, 0, 0, 1, 1, 1}
@@ -245,8 +247,9 @@ func FuzzReadBinaryV3(f *testing.F) {
 	f.Add(valid[:40])                                                          // truncated header
 	// A v2 image fed to the v3 parser (version confusion the other way).
 	f.Add(legacyBytes(f, "legacy-v2.bcsr"))
-	// Fabricated headers with valid FNV sums and absurd counts: the
-	// chunked meta read must hit EOF before any count-sized allocation.
+	// Fabricated headers with valid FNV sums and absurd counts:
+	// OpenShardedFile's size check must refuse them before any
+	// count-sized allocation.
 	lyingV3 := func(nv, ne uint64, shards, strategy uint32) []byte {
 		b := make([]byte, binaryV3HeaderSize)
 		copy(b[0:4], binaryMagic)
@@ -271,35 +274,36 @@ func FuzzReadBinaryV3(f *testing.F) {
 	f.Add(one.Bytes())
 	f.Add(legacyBytes(f, "legacy-v3-4shard.bcsr"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, meta, err := ReadBinaryV3(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("v3 reader returned invalid graph: %v", err)
-		}
-		if len(meta.Parts) != g.NumVertices() {
-			t.Fatalf("v3 reader returned %d parts for %d vertices", len(meta.Parts), g.NumVertices())
-		}
-		// Whatever the copying reader accepts, the random-access path
-		// must accept too and agree on the shape.
 		path := filepath.Join(t.TempDir(), "fuzz.bcsr")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		sf, err := OpenShardedFile(path)
 		if err != nil {
-			t.Fatalf("OpenShardedFile rejected bytes ReadBinaryV3 accepted: %v", err)
+			return
 		}
 		defer sf.Close()
-		if sf.NumVertices() != g.NumVertices() || sf.NumEdges() != g.NumEdges() ||
-			sf.Shards() != meta.Shards || sf.SourceHash() != meta.SourceHash {
-			t.Fatal("sharded handle disagrees with copying reader")
+		g, err := sf.Materialize()
+		checkReleased(t, sf, "Materialize")
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("Materialize returned an invalid graph: %v", err)
+		}
+		if g.NumVertices() != sf.NumVertices() || g.NumEdges() != sf.NumEdges() ||
+			len(sf.Parts()) != g.NumVertices() || ContentHash(g) != sf.SourceHash() {
+			t.Fatal("materialized graph disagrees with the header")
 		}
 		for s := 0; s < sf.Shards(); s++ {
 			sm, err := sf.MapShard(s, 1)
 			if err != nil {
-				t.Fatalf("MapShard(%d) rejected a file ReadBinaryV3 accepted: %v", s, err)
+				t.Fatalf("MapShard(%d) rejected a file Materialize accepted: %v", s, err)
+			}
+			for i, v := range sm.VMap {
+				if !slices.Equal(sm.Neighbors(i), g.Neighbors(v)) {
+					t.Fatalf("shard %d vertex %d: mapped list differs from the materialized one", s, v)
+				}
 			}
 			// Fuzz inputs stay below two minSplitBytes parts, so this holds
 			// the worker argument to the one-worker map; the split itself
@@ -320,21 +324,21 @@ func FuzzReadBinaryV3(f *testing.F) {
 		if sf.Shards() == 1 {
 			m, err := sf.MapCSR()
 			if err != nil {
-				t.Fatalf("MapCSR rejected a file ReadBinaryV3 accepted: %v", err)
+				t.Fatalf("MapCSR rejected a file Materialize accepted: %v", err)
 			}
 			defer m.Close()
 			mg := m.Graph()
 			if !slices.Equal(mg.Offsets, g.Offsets) || !slices.Equal(mg.Edges, g.Edges) ||
 				mg.EdgesSorted() != g.scanSorted() {
-				t.Fatal("mapped one-shard graph disagrees with the copying reader")
+				t.Fatal("mapped one-shard graph disagrees with the materialized one")
 			}
 		}
 	})
 }
 
 // FuzzBinaryRoundTrip builds a graph from fuzzed edge bytes and requires
-// a one-shard v3 file to reproduce it exactly through both the copying
-// reader and the mapped open.
+// a one-shard v3 file to reproduce it exactly through both Materialize
+// and the mapped open.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(uint16(4), []byte{0, 1, 2, 3, 1, 2})
 	f.Add(uint16(1), []byte{0, 0})
@@ -350,13 +354,13 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			return // out-of-range vertex for this nv: not a round-trip case
 		}
 		path := writeOneShard(t, g)
-		got, _, err := LoadBinaryV3File(path)
+		got, _, err := openMaterialize(path)
 		if err != nil {
 			t.Fatalf("decode of a freshly encoded graph: %v", err)
 		}
 		m := mapOneShard(t, path)
 		defer m.Close()
-		for label, c := range map[string]*CSR{"copying reader": got, "mapped": m.Graph()} {
+		for label, c := range map[string]*CSR{"materialized": got, "mapped": m.Graph()} {
 			if !slices.Equal(c.Offsets, g.Offsets) || !slices.Equal(c.Edges, g.Edges) {
 				t.Fatalf("%s: round trip changed the graph", label)
 			}

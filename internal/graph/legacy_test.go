@@ -82,9 +82,9 @@ func encodeV2(g *CSR) []byte {
 }
 
 // TestLegacyFixtures: the reference encoders reproduce the old writers'
-// bytes, every copying reader returns the source graph from its
-// fixture, and the old four-shard file — boundary blocks and all —
-// still opens, maps shard by shard and materializes.
+// bytes, the v1 and v2 copying readers return the source graph from
+// their fixtures, and the old four-shard file — boundary blocks and
+// all — still opens, maps shard by shard and materializes.
 func TestLegacyFixtures(t *testing.T) {
 	src := legacySource(t)
 	if !bytes.Equal(encodeV1(src), legacyBytes(t, "legacy-v1.bcsr")) {
@@ -103,20 +103,15 @@ func TestLegacyFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameCSR(t, v2, src, "v2 fixture")
-	v3, meta, err := LoadBinaryV3File(legacyPath("legacy-v3-4shard.bcsr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCSR(t, v3, src, "v3 fixture")
-	if meta.Shards != 4 || meta.SourceHash != ContentHash(src) {
-		t.Fatalf("v3 fixture meta: %d shards, hash %#x", meta.Shards, meta.SourceHash)
-	}
 
 	sf, err := OpenShardedFile(legacyPath("legacy-v3-4shard.bcsr"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sf.Close()
+	if sf.Shards() != 4 || sf.SourceHash() != ContentHash(src) {
+		t.Fatalf("v3 fixture meta: %d shards, hash %#x", sf.Shards(), sf.SourceHash())
+	}
 	withBlocks := 0
 	for s := range sf.meta.dir {
 		if sf.meta.dir[s].nBoundary > 0 {
@@ -141,4 +136,7 @@ func TestLegacyFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameCSR(t, got, src, "v3 fixture materialized")
+	if st := sf.Stats(); st.Maps != 8 || st.Unmaps != 8 || st.ResidentBytes != 0 {
+		t.Fatalf("after four MapShards and Materialize %+v, want 8 maps and unmaps, nothing resident", st)
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"unsafe"
 )
 
@@ -53,8 +52,8 @@ import (
 // Writers emit nBoundary = nbEdges = 0, so no shard has a boundary
 // block. Files written before the ordered stream replaced the frontier
 // phase carry one per shard (the frontier vertices' lower adjacency);
-// the copying reader still reads and CRC-checks those bytes and then
-// ignores them, and nothing maps them.
+// ShardedFile.Materialize still reads and CRC-checks those bytes and
+// then ignores them, and nothing maps them.
 //
 // Section placement is fully determined by the counts, so a reader
 // recomputes the layout and rejects any directory that disagrees — a
@@ -334,11 +333,18 @@ func parseV3Meta(meta []byte, f v3HeaderFields) (*v3Meta, error) {
 	return m, nil
 }
 
-// v3VertexLists buckets vertices per shard, ascending within each (a
-// counting sort — the same list construction partition.VertexLists
-// uses, re-derived here because graph cannot import partition).
-func v3VertexLists(parts []int32, k int) [][]VertexID {
-	buf := make([]VertexID, len(parts))
+// VertexLists buckets vertices by part, ascending within each, as
+// sub-slices of one backing buffer (buf when it has room for every
+// vertex, else a fresh allocation): a counting sort over parts, each of
+// which must lie in [0,k). The v3 writer lays its shards out in this
+// order, and the sharded engine walks a partition that is not a set of
+// ID ranges through it.
+func VertexLists(parts []int32, k int, buf []VertexID) [][]VertexID {
+	n := len(parts)
+	if cap(buf) < n {
+		buf = make([]VertexID, n)
+	}
+	buf = buf[:n]
 	offsets := make([]int, k+1)
 	for _, p := range parts {
 		offsets[p+1]++
@@ -352,7 +358,7 @@ func v3VertexLists(parts []int32, k int) [][]VertexID {
 		next[p]++
 	}
 	lists := make([][]VertexID, k)
-	for p := 0; p < k; p++ {
+	for p := range lists {
 		lists[p] = buf[offsets[p]:offsets[p+1]]
 	}
 	return lists
@@ -436,7 +442,7 @@ func WriteBinaryV3(w io.Writer, g *CSR, parts []int32, k int, strategy uint32) e
 		}
 	}
 	cut, boundary := v3Totals(g, parts)
-	lists := v3VertexLists(parts, k)
+	lists := VertexLists(parts, k, nil)
 	dir := make([]v3ShardDir, k)
 	for s, list := range lists {
 		d := &dir[s]
@@ -515,38 +521,8 @@ func SaveCSRFile(path string, g *CSR) error {
 	return SaveBinaryV3File(path, g, make([]int32, g.NumVertices()), 1, V3PartitionRanges)
 }
 
-// V3Meta is the partition metadata a v3 file carries alongside the
-// graph — everything the sharded engine otherwise computes at run time.
-type V3Meta struct {
-	Shards      int
-	Strategy    uint32
-	SourceHash  uint64
-	EdgesSorted bool
-	Parts       []int32
-	CutEdges    int64
-	Boundary    int
-}
-
-// readV3Bytes reads exactly n bytes through scratch-sized chunks,
-// growing the result with the data so a lying header cannot balloon
-// allocation past what the stream actually delivers.
-func readV3Bytes(br io.Reader, scratch []byte, n uint64, what string) ([]byte, error) {
-	out := make([]byte, 0, min(n, uint64(len(scratch))))
-	for remaining := n; remaining > 0; {
-		c := min(remaining, uint64(len(scratch)))
-		b := scratch[:c]
-		if _, err := io.ReadFull(br, b); err != nil {
-			return nil, fmt.Errorf("graph: truncated v3 %s (%d of %d bytes read): %w",
-				what, uint64(len(out)), n, err)
-		}
-		out = append(out, b...)
-		remaining -= c
-	}
-	return out, nil
-}
-
 // decodeV3Shard decodes one shard's main sections from their stored
-// bytes; validateShardSections checks them.
+// bytes, for MapShard where it cannot alias them in place.
 func decodeV3Shard(d *v3ShardDir, offB, edgeB, vmapB []byte) (offsets []int64, edges, vmap []VertexID) {
 	offsets = make([]int64, d.nvLocal+1)
 	for i := range offsets {
@@ -561,141 +537,4 @@ func decodeV3Shard(d *v3ShardDir, offB, edgeB, vmapB []byte) (offsets []int64, e
 		vmap[i] = binary.LittleEndian.Uint32(vmapB[4*i:])
 	}
 	return offsets, edges, vmap
-}
-
-// ReadBinaryV3 deserializes a v3 stream by copying, reconstructing the
-// global CSR from the shard-major sections and returning the persisted
-// partition metadata. Every layer is verified: header and meta
-// checksums, per-section CRCs (an older file's boundary blocks
-// included, whose bytes are then ignored), structural invariants, the
-// source content hash and the persisted totals against the
-// reconstructed graph — a v3 file that loads here is guaranteed to
-// stream correctly.
-func ReadBinaryV3(r io.Reader) (*CSR, *V3Meta, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdr := make([]byte, binaryV3HeaderSize)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, nil, fmt.Errorf("graph: truncated v3 header: %w", err)
-	}
-	f, err := parseV3Header(hdr)
-	if err != nil {
-		return nil, nil, err
-	}
-	if f.flags&binaryV3FlagBigEndian != 0 {
-		return nil, nil, fmt.Errorf("graph: v3 big-endian payloads not supported (writers emit little-endian only)")
-	}
-	scratch := make([]byte, 8*binaryReadChunk)
-	metaBytes, err := readV3Bytes(br, scratch, v3MetaLen(f.nv, f.shards), "meta section")
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := parseV3Meta(metaBytes, f)
-	if err != nil {
-		return nil, nil, err
-	}
-	cur := uint64(binaryV3HeaderSize) + uint64(len(metaBytes))
-	section := func(off, n uint64, what string) ([]byte, error) {
-		if off < cur {
-			return nil, fmt.Errorf("graph: v3 %s offset %d behind stream position %d", what, off, cur)
-		}
-		if off > cur {
-			if _, err := io.CopyN(io.Discard, br, int64(off-cur)); err != nil {
-				return nil, fmt.Errorf("graph: truncated v3 padding before %s: %w", what, err)
-			}
-			cur = off
-		}
-		b, err := readV3Bytes(br, scratch, n, what)
-		if err != nil {
-			return nil, err
-		}
-		cur += n
-		return b, nil
-	}
-	type shardPayload struct {
-		offsets []int64
-		edges   []VertexID
-		vmap    []VertexID
-	}
-	shards := make([]shardPayload, f.shards)
-	for s := range shards {
-		d := &m.dir[s]
-		offB, err := section(d.offsetsOff, (d.nvLocal+1)*8, fmt.Sprintf("shard %d offsets", s))
-		if err != nil {
-			return nil, nil, err
-		}
-		edgeB, err := section(d.edgesOff, d.neLocal*4, fmt.Sprintf("shard %d edges", s))
-		if err != nil {
-			return nil, nil, err
-		}
-		vmapB, err := section(d.vmapOff, d.nvLocal*4, fmt.Sprintf("shard %d vmap", s))
-		if err != nil {
-			return nil, nil, err
-		}
-		bndB, err := section(d.bndOff, d.bndLen(), fmt.Sprintf("shard %d boundary block", s))
-		if err != nil {
-			return nil, nil, err
-		}
-		sums := sumShardSections(offB, edgeB, vmapB, 1)
-		sumA := uint64(sums.offsets)<<32 | uint64(sums.edges)
-		sumB := uint64(sums.vmap)<<32 | uint64(crc32.Checksum(bndB, crcTable))
-		if sumA != d.sumA || sumB != d.sumB {
-			return nil, nil, fmt.Errorf("graph: v3 shard %d section checksum mismatch", s)
-		}
-		sp := &shards[s]
-		sp.offsets, sp.edges, sp.vmap = decodeV3Shard(d, offB, edgeB, vmapB)
-		if _, err := validateShardSections(s, f.nv, m.parts, sp.offsets, sp.edges, sp.vmap, sums.desc); err != nil {
-			return nil, nil, err
-		}
-	}
-	g := &CSR{Offsets: make([]int64, f.nv+1)}
-	for s := range shards {
-		sp := &shards[s]
-		for i, v := range sp.vmap {
-			g.Offsets[v+1] = sp.offsets[i+1] - sp.offsets[i]
-		}
-	}
-	for v := uint64(0); v < f.nv; v++ {
-		g.Offsets[v+1] += g.Offsets[v]
-	}
-	g.Edges = make([]VertexID, f.ne)
-	for s := range shards {
-		sp := &shards[s]
-		for i, v := range sp.vmap {
-			copy(g.Edges[g.Offsets[v]:g.Offsets[v+1]], sp.edges[sp.offsets[i]:sp.offsets[i+1]])
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("graph: v3 payload invalid: %w", err)
-	}
-	if got := ContentHash(g); got != f.sourceHash {
-		return nil, nil, fmt.Errorf("graph: v3 source hash mismatch (got %#x, want %#x)", got, f.sourceHash)
-	}
-	if f.sorted() != g.EdgesSorted() {
-		return nil, nil, fmt.Errorf("graph: v3 sorted flag %v disagrees with payload", f.sorted())
-	}
-	cut, boundary := v3Totals(g, m.parts)
-	if uint64(cut) != m.cutEdges || uint64(boundary) != m.boundary {
-		return nil, nil, fmt.Errorf("graph: v3 totals (%d cut, %d boundary) disagree with payload (%d, %d)",
-			m.cutEdges, m.boundary, cut, boundary)
-	}
-	meta := &V3Meta{
-		Shards:      int(f.shards),
-		Strategy:    f.strategy,
-		SourceHash:  f.sourceHash,
-		EdgesSorted: f.sorted(),
-		Parts:       m.parts,
-		CutEdges:    int64(m.cutEdges),
-		Boundary:    int(m.boundary),
-	}
-	return g, meta, nil
-}
-
-// LoadBinaryV3File reads a v3 file from disk by copying.
-func LoadBinaryV3File(path string) (*CSR, *V3Meta, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return ReadBinaryV3(f)
 }

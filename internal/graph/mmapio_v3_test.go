@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -64,6 +65,33 @@ func writeV3File(t testing.TB, g *CSR, parts []int32, k int, strategy uint32) st
 	return path
 }
 
+// openMaterialize is the in-core open of a v3 file: OpenShardedFile,
+// then Materialize. It returns the handle, closed again, for its
+// metadata and mapping counters.
+func openMaterialize(path string) (*CSR, *ShardedFile, error) {
+	sf, err := OpenShardedFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer sf.Close()
+	g, err := sf.Materialize()
+	return g, sf, err
+}
+
+// materialize is openMaterialize that fails the test on error.
+func materialize(t testing.TB, path string) (*CSR, *ShardedFile) {
+	t.Helper()
+	g, sf, err := openMaterialize(path)
+	if err != nil {
+		t.Fatalf("in-core open of %s: %v", filepath.Base(path), err)
+	}
+	return g, sf
+}
+
+// TestBinaryV3RoundTrip writes a graph at several shard counts, with
+// range and scattered partitions, and opens each file in core: the
+// graph, the persisted partition, totals and sorted flag come back, and
+// Materialize maps each shard exactly once and releases it.
 func TestBinaryV3RoundTrip(t *testing.T) {
 	g := v3TestGraph(t, 500, 3000, 7)
 	for _, k := range []int{1, 2, 4, 7} {
@@ -72,29 +100,26 @@ func TestBinaryV3RoundTrip(t *testing.T) {
 			"scatter": scatterParts(g.NumVertices(), k),
 		} {
 			label := fmt.Sprintf("k=%d/%s", k, name)
-			img := writeV3(t, g, parts, k, V3PartitionRanges)
-			got, meta, err := ReadBinaryV3(bytes.NewReader(img))
-			if err != nil {
-				t.Fatalf("%s: ReadBinaryV3: %v", label, err)
-			}
+			got, sf := materialize(t, writeV3File(t, g, parts, k, V3PartitionRanges))
 			sameCSR(t, got, g, label)
-			if meta.Shards != k || meta.Strategy != V3PartitionRanges {
-				t.Fatalf("%s: meta = %d shards strategy %d", label, meta.Shards, meta.Strategy)
+			if sf.Shards() != k || sf.Strategy() != V3PartitionRanges {
+				t.Fatalf("%s: %d shards strategy %d", label, sf.Shards(), sf.Strategy())
 			}
-			if meta.SourceHash != ContentHash(g) {
+			if sf.SourceHash() != ContentHash(g) {
 				t.Fatalf("%s: source hash mismatch", label)
 			}
-			if meta.EdgesSorted != g.EdgesSorted() {
+			if sf.hdr.sorted() != g.EdgesSorted() || !got.SortednessKnown() || got.EdgesSorted() != g.EdgesSorted() {
 				t.Fatalf("%s: sorted flag mismatch", label)
 			}
-			for v, p := range parts {
-				if meta.Parts[v] != p {
-					t.Fatalf("%s: parts[%d] = %d, want %d", label, v, meta.Parts[v], p)
-				}
+			if !slices.Equal(sf.Parts(), parts) {
+				t.Fatalf("%s: persisted parts differ from the written ones", label)
 			}
 			cut, boundary := v3Totals(g, parts)
-			if meta.CutEdges != cut || meta.Boundary != boundary {
-				t.Fatalf("%s: totals (%d,%d), want (%d,%d)", label, meta.CutEdges, meta.Boundary, cut, boundary)
+			if sf.CutEdges() != cut || sf.Boundary() != boundary {
+				t.Fatalf("%s: totals (%d,%d), want (%d,%d)", label, sf.CutEdges(), sf.Boundary(), cut, boundary)
+			}
+			if st := sf.Stats(); st.Maps != int64(k) || st.Unmaps != int64(k) || st.ResidentBytes != 0 {
+				t.Fatalf("%s: after Materialize %+v, want %d maps and unmaps, nothing resident", label, st, k)
 			}
 		}
 	}
@@ -124,13 +149,9 @@ func TestV3WritesNoBoundaryBlocks(t *testing.T) {
 
 func TestBinaryV3EmptyGraph(t *testing.T) {
 	g, _ := FromEdgeList(0, nil)
-	img := writeV3(t, g, nil, 1, V3PartitionRanges)
-	got, meta, err := ReadBinaryV3(bytes.NewReader(img))
-	if err != nil {
-		t.Fatalf("ReadBinaryV3: %v", err)
-	}
-	if got.NumVertices() != 0 || meta.Shards != 1 {
-		t.Fatalf("empty graph round-trip: %d vertices, %d shards", got.NumVertices(), meta.Shards)
+	got, sf := materialize(t, writeV3File(t, g, nil, 1, V3PartitionRanges))
+	if got.NumVertices() != 0 || got.NumEdges() != 0 || sf.Shards() != 1 {
+		t.Fatalf("empty graph round-trip: %d vertices, %d edges, %d shards", got.NumVertices(), got.NumEdges(), sf.Shards())
 	}
 }
 
@@ -148,6 +169,49 @@ func TestBinaryV3WriterRejects(t *testing.T) {
 	}
 	if err := WriteBinaryV3(&buf, g, rangeParts(10, 2), 2, 99); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+}
+
+// TestVertexLists pins the counting-sort views: every part's list is
+// ascending, matches the assignment, shares the caller's backing buffer,
+// and together the lists cover each vertex exactly once.
+func TestVertexLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	const n, k = 500, 4
+	parts := make([]int32, n)
+	for v := range parts {
+		parts[v] = int32(rng.Intn(k))
+	}
+	buf := make([]VertexID, n)
+	lists := VertexLists(parts, k, buf)
+	if len(lists) != k {
+		t.Fatalf("%d lists for K=%d", len(lists), k)
+	}
+	seen := make([]bool, n)
+	total := 0
+	for p, list := range lists {
+		for i, v := range list {
+			if i > 0 && list[i-1] >= v {
+				t.Fatalf("part %d not ascending at %d: %d >= %d", p, i, list[i-1], v)
+			}
+			if int(parts[v]) != p {
+				t.Fatalf("vertex %d listed in part %d but assigned %d", v, p, parts[v])
+			}
+			if seen[v] {
+				t.Fatalf("vertex %d listed twice", v)
+			}
+			seen[v] = true
+			total++
+		}
+	}
+	if total != n {
+		t.Fatalf("lists cover %d of %d vertices", total, n)
+	}
+	if len(lists[0]) > 0 && &lists[0][0] != &buf[0] {
+		t.Fatal("VertexLists did not use the caller buffer")
+	}
+	if fresh := VertexLists(parts, k, nil); !slices.EqualFunc(fresh, lists, slices.Equal[[]VertexID]) {
+		t.Fatal("VertexLists without a buffer differs from the buffered lists")
 	}
 }
 
@@ -181,40 +245,55 @@ func TestBinaryV3ConversionRoundTrip(t *testing.T) {
 	if err := SaveBinaryV3File(v3Path, loaded, rangeParts(300, 4), 4, V3PartitionRanges); err != nil {
 		t.Fatalf("SaveBinaryV3File: %v", err)
 	}
-	back, meta, err := LoadBinaryV3File(v3Path)
-	if err != nil {
-		t.Fatalf("LoadBinaryV3File: %v", err)
-	}
+	back, sf := materialize(t, v3Path)
 	sameCSR(t, back, g, "v2→v3 conversion")
-	if meta.SourceHash != ContentHash(g) {
+	if sf.SourceHash() != ContentHash(g) {
 		t.Fatal("conversion changed the content hash")
 	}
 }
 
+// writeBytes writes a file image to a fresh temporary file.
+func writeBytes(t testing.TB, img []byte) string {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "g.bcsr")
+	if err := os.WriteFile(p, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestBinaryV3CorruptionDetected flips one byte in each layer of a
+// three-shard file, and cuts the file at each layer: every in-core open
+// fails with the layer's error and leaves no shard mapped.
 func TestBinaryV3CorruptionDetected(t *testing.T) {
 	g := v3TestGraph(t, 200, 1500, 11)
 	img := writeV3(t, g, scatterParts(200, 3), 3, V3PartitionRanges)
 	cases := []struct {
 		name string
 		at   int
+		want string
 	}{
-		{"header version byte", 5},
-		{"header flags", 12},
-		{"header shard count", 32},
-		{"meta parts byte", binaryV3HeaderSize + 3},
-		{"meta directory byte", binaryV3HeaderSize + 200*4 + 16 + 40},
-		{"first section byte", 1156},         // inside shard 0's offsets
-		{"last section byte", len(img) - 65}, // past the ≤63-byte trailing pad
+		{"header version byte", 5, "unsupported version"},
+		{"header flags", 12, "v3 header checksum mismatch"},
+		{"header shard count", 32, "v3 header checksum mismatch"},
+		{"meta parts byte", binaryV3HeaderSize + 3, "v3 meta checksum mismatch"},
+		{"meta directory byte", binaryV3HeaderSize + 200*4 + 16 + 40, "v3 meta checksum mismatch"},
+		{"first section byte", 1156, "v3 shard 0 section checksum mismatch"},      // inside shard 0's offsets
+		{"last section byte", len(img) - 65, "v3 shard 2 vmap checksum mismatch"}, // past the ≤63-byte trailing pad
 	}
 	for _, tc := range cases {
 		bad := append([]byte(nil), img...)
 		bad[tc.at] ^= 0x40
-		if _, _, err := ReadBinaryV3(bytes.NewReader(bad)); err == nil {
-			t.Errorf("%s: corruption at byte %d accepted", tc.name, tc.at)
+		_, sf, err := openMaterialize(writeBytes(t, bad))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: corruption at byte %d: err = %v, want %q", tc.name, tc.at, err, tc.want)
+		}
+		if sf != nil {
+			checkReleased(t, sf, tc.name)
 		}
 	}
 	for _, cut := range []int{binaryV3HeaderSize - 1, binaryV3HeaderSize + 10, len(img) / 2, len(img) - 65} {
-		if _, _, err := ReadBinaryV3(bytes.NewReader(img[:cut])); err == nil {
+		if _, _, err := openMaterialize(writeBytes(t, img[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -286,19 +365,78 @@ func TestOpenShardedFile(t *testing.T) {
 	}
 }
 
+// TestShardedFileMaterialize: the in-core open of a multi-shard file
+// maps each shard once and releases it, range and scattered partitions
+// alike, and fails once the handle is closed.
 func TestShardedFileMaterialize(t *testing.T) {
 	g := v3TestGraph(t, 250, 1800, 17)
-	path := writeV3File(t, g, rangeParts(250, 3), 3, V3PartitionRanges)
-	sf, err := OpenShardedFile(path)
-	if err != nil {
-		t.Fatalf("OpenShardedFile: %v", err)
+	for name, parts := range map[string][]int32{"ranges": rangeParts(250, 3), "scatter": scatterParts(250, 3)} {
+		sf, err := OpenShardedFile(writeV3File(t, g, parts, 3, V3PartitionRanges))
+		if err != nil {
+			t.Fatalf("%s: OpenShardedFile: %v", name, err)
+		}
+		got, err := sf.Materialize()
+		if err != nil {
+			t.Fatalf("%s: Materialize: %v", name, err)
+		}
+		sameCSR(t, got, g, name)
+		st := sf.Stats()
+		if st.Maps != 3 || st.Unmaps != 3 || st.ResidentBytes != 0 || st.PeakResidentBytes <= 0 {
+			t.Fatalf("%s: after Materialize %+v, want 3 maps and unmaps, nothing resident", name, st)
+		}
+		sf.Close()
+		if _, err := sf.Materialize(); err == nil {
+			t.Fatalf("%s: Materialize after Close succeeded", name)
+		}
 	}
-	defer sf.Close()
-	got, err := sf.Materialize()
-	if err != nil {
-		t.Fatalf("Materialize: %v", err)
+}
+
+// sealV3Meta recomputes a v3 image's meta CRC32-C and header FNV-1a
+// after an edit to its header or meta section.
+func sealV3Meta(img []byte) {
+	nv, k := binary.LittleEndian.Uint64(img[16:24]), binary.LittleEndian.Uint32(img[32:36])
+	meta := img[binaryV3HeaderSize : binaryV3HeaderSize+v3MetaLen(nv, k)]
+	binary.LittleEndian.PutUint32(img[48:52], crc32.Checksum(meta, crcTable))
+	rewriteHeaderSum(img)
+}
+
+// TestV3WholeGraphChecks: behind valid checksums, a header or meta
+// field that disagrees with the shards' lists fails only the in-core
+// open's whole-graph checks — the sorted flag, the source hash and the
+// persisted totals — each with its own error, after every shard was
+// mapped once and released.
+func TestV3WholeGraphChecks(t *testing.T) {
+	g := v3TestGraph(t, 300, 2000, 37)
+	parts := rangeParts(300, 4)
+	img := writeV3(t, g, parts, 4, V3PartitionRanges)
+	hash := ContentHash(g)
+	cut, boundary := v3Totals(g, parts)
+	totals := binaryV3HeaderSize + int(v3MetaLen(300, 4)) - 4*binaryV3DirRecord - 16
+	for _, tc := range []struct {
+		name string
+		edit func(b []byte)
+		want string
+	}{
+		{"sorted flag", func(b []byte) { b[12] ^= byte(binaryV3FlagSorted) },
+			"graph: v3 sorted flag false disagrees with payload"},
+		{"source hash", func(b []byte) { binary.LittleEndian.PutUint64(b[40:], hash+1) },
+			fmt.Sprintf("graph: v3 source hash mismatch (got %#x, want %#x)", hash, hash+1)},
+		{"cut edges", func(b []byte) { binary.LittleEndian.PutUint64(b[totals:], uint64(cut-1)) },
+			fmt.Sprintf("graph: v3 totals (%d cut, %d boundary) disagree with payload (%d, %d)", cut-1, boundary, cut, boundary)},
+		{"boundary", func(b []byte) { binary.LittleEndian.PutUint64(b[totals+8:], uint64(boundary-1)) },
+			fmt.Sprintf("graph: v3 totals (%d cut, %d boundary) disagree with payload (%d, %d)", cut, boundary-1, cut, boundary)},
+	} {
+		bad := slices.Clone(img)
+		tc.edit(bad)
+		sealV3Meta(bad)
+		_, sf, err := openMaterialize(writeBytes(t, bad))
+		if err == nil || err.Error() != tc.want {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if st := sf.Stats(); st.Maps != 4 || st.Unmaps != 4 || st.ResidentBytes != 0 {
+			t.Fatalf("%s: after the failed open %+v, want 4 maps and unmaps, nothing resident", tc.name, st)
+		}
 	}
-	sameCSR(t, got, g, "Materialize")
 }
 
 func TestOpenShardedFileRejectsCorruption(t *testing.T) {
@@ -348,8 +486,8 @@ func TestOpenShardedFileRejectsCorruption(t *testing.T) {
 	if !failed {
 		t.Error("section corruption never detected by MapShard")
 	}
-	// An older file's boundary blocks are never mapped, but the copying
-	// reader still CRC-checks them.
+	// An older file's boundary blocks are never mapped, but Materialize
+	// still CRC-checks them.
 	old := legacyBytes(t, "legacy-v3-4shard.bcsr")
 	oldSF, err := OpenShardedFile(legacyPath("legacy-v3-4shard.bcsr"))
 	if err != nil {
@@ -365,9 +503,11 @@ func TestOpenShardedFileRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(p, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadBinaryV3File(p); err == nil {
-		t.Error("boundary-block corruption accepted by the copying reader")
+	_, matSF, err := openMaterialize(p)
+	if err == nil || !strings.Contains(err.Error(), "v3 shard 3 section checksum mismatch") {
+		t.Errorf("boundary-block corruption: Materialize err = %v, want a shard 3 checksum mismatch", err)
 	}
+	checkReleased(t, matSF, "boundary-block corruption")
 	badSF, err := OpenShardedFile(p)
 	if err != nil {
 		t.Fatal(err)

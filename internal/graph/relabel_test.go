@@ -44,10 +44,7 @@ func TestSymmetryRecord(t *testing.T) {
 	}
 	m := mapOneShard(t, writeOneShard(t, g))
 	defer m.Close()
-	r3, _, err := LoadBinaryV3File(writeV3File(t, g, rangeParts(g.NumVertices(), 2), 2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r3, _ := materialize(t, writeV3File(t, g, rangeParts(g.NumVertices(), 2), 2, 0))
 	directed, err := FromDirectedEdgeList(3, []Edge{{0, 1}, {1, 0}, {2, 1}, {1, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +54,7 @@ func TestSymmetryRecord(t *testing.T) {
 		"ReadBinary":            r1,
 		"ReadBinaryV2":          r2,
 		"MapCSR":                m.Graph(),
-		"LoadBinaryV3File":      r3,
+		"Materialize":           r3,
 		"FromDirectedEdgeList":  directed,
 		"literal":               {Offsets: []int64{0, 1, 2}, Edges: []VertexID{1, 0}},
 		"relabel of a Clone":    Relabel(g.Clone(), rev, rev),

@@ -18,17 +18,17 @@ import (
 // shards it keeps mapped rather than the whole graph. A one-shard file
 // is also the zero-copy in-core format: MapCSR maps its only shard and
 // uses the sections as the CSR in place. A multi-shard file colors in
-// core through Materialize's copy. Older files' boundary blocks are
-// never mapped; only the copying reader reads (and ignores) them.
+// core through Materialize, which maps each shard once and copies its
+// lists into one CSR. Older files' boundary blocks are never mapped;
+// Materialize reads them to check their checksums and ignores them.
 // MapShard checksums a shard on as many goroutines as its caller's run
 // has workers, cutting each section longer than two minSplitBytes
 // parts and joining the part checksums with a CRC32-C combine; MapCSR
-// and the copying reader checksum on one goroutine.
+// and Materialize map on one goroutine.
 // All methods are safe for concurrent use; the residency counters are
 // the instrumentation the bounded-residency invariant test asserts on.
 type ShardedFile struct {
 	f    *os.File
-	path string
 	hdr  v3HeaderFields
 	meta *v3Meta
 	cl   closeOnce
@@ -57,7 +57,7 @@ func OpenShardedFile(path string) (*ShardedFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	sf, err := newShardedFile(f, path)
+	sf, err := newShardedFile(f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -65,7 +65,7 @@ func OpenShardedFile(path string) (*ShardedFile, error) {
 	return sf, nil
 }
 
-func newShardedFile(f *os.File, path string) (*ShardedFile, error) {
+func newShardedFile(f *os.File) (*ShardedFile, error) {
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -102,7 +102,7 @@ func newShardedFile(f *os.File, path string) (*ShardedFile, error) {
 	if uint64(st.Size()) < m.fileSize {
 		return nil, fmt.Errorf("graph: v3 file truncated (%d bytes, layout needs %d)", st.Size(), m.fileSize)
 	}
-	return &ShardedFile{f: f, path: path, hdr: fields, meta: m}, nil
+	return &ShardedFile{f: f, hdr: fields, meta: m}, nil
 }
 
 // NumVertices returns the global vertex count.
@@ -221,7 +221,7 @@ type ShardMap struct {
 // checks that follow run on the calling goroutine. The sections, Sorted
 // and every error text are the same at every worker count. The stream
 // passes its per-shard worker count and VerifyShardedParallel its own;
-// MapCSR maps on one goroutine.
+// MapCSR and Materialize map on one goroutine.
 func (sf *ShardedFile) MapShard(s, workers int) (*ShardMap, error) {
 	if sf.cl.done() {
 		return nil, fmt.Errorf("graph: ShardedFile used after Close")
@@ -382,20 +382,71 @@ func (sm *ShardMap) Close() error {
 	return nil
 }
 
-// Materialize reconstructs the full in-core CSR (and re-verifies the
-// whole file through the copying reader) — the eager path OpenGraphFile
-// takes so a v3 file also serves the non-streaming engines.
+// Materialize builds the whole graph in core, the path OpenGraphFile
+// takes for a multi-shard file. It maps each shard once, on one
+// goroutine, so MapShard checks the shard's section checksums, lists
+// and vertex map; it scatters the shards' lists into one global CSR and
+// closes every shard it mapped before it returns, on success or error.
+// It then checks what no one shard can: the CSR validates, its content
+// hash is the header's source hash, the header's sorted flag agrees
+// with the lists, and the persisted cut and boundary totals are the
+// graph's. An older file's boundary blocks, which MapShard never maps,
+// are read and must match their checksums; their bytes are then
+// ignored.
 func (sf *ShardedFile) Materialize() (*CSR, error) {
 	if sf.cl.done() {
 		return nil, fmt.Errorf("graph: ShardedFile used after Close")
 	}
-	g, meta, err := LoadBinaryV3File(sf.path)
-	if err != nil {
-		return nil, err
+	shards := make([]*ShardMap, 0, sf.Shards())
+	defer func() {
+		for _, sm := range shards {
+			sm.Close()
+		}
+	}()
+	g := &CSR{Offsets: make([]int64, sf.hdr.nv+1)}
+	var bnd []byte
+	for s := range sf.meta.dir {
+		sm, err := sf.MapShard(s, 1)
+		if err != nil {
+			return nil, err
+		}
+		shards = append(shards, sm)
+		if d := &sf.meta.dir[s]; d.bndLen() > 0 {
+			bnd = v3Grow(bnd, d.bndLen())
+			if _, err := sf.f.ReadAt(bnd, int64(d.bndOff)); err != nil {
+				return nil, fmt.Errorf("graph: v3 section read at %d: %w", d.bndOff, err)
+			}
+			if crc32.Checksum(bnd, crcTable) != uint32(d.sumB) {
+				return nil, fmt.Errorf("graph: v3 shard %d section checksum mismatch", s)
+			}
+		}
+		for i, v := range sm.VMap {
+			g.Offsets[v+1] = sm.Offsets[i+1] - sm.Offsets[i]
+		}
 	}
-	if meta.SourceHash != sf.hdr.sourceHash {
-		return nil, fmt.Errorf("graph: v3 file changed since open (hash %#x, was %#x)",
-			meta.SourceHash, sf.hdr.sourceHash)
+	for v := range sf.hdr.nv {
+		g.Offsets[v+1] += g.Offsets[v]
+	}
+	g.Edges = make([]VertexID, sf.hdr.ne)
+	for _, sm := range shards {
+		for i, v := range sm.VMap {
+			copy(g.Edges[g.Offsets[v]:g.Offsets[v+1]], sm.Neighbors(i))
+		}
+		sm.Close()
+	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("graph: v3 payload invalid: %w", err)
+	}
+	if got := ContentHash(g); got != sf.hdr.sourceHash {
+		return nil, fmt.Errorf("graph: v3 source hash mismatch (got %#x, want %#x)", got, sf.hdr.sourceHash)
+	}
+	if sf.hdr.sorted() != g.EdgesSorted() {
+		return nil, fmt.Errorf("graph: v3 sorted flag %v disagrees with payload", sf.hdr.sorted())
+	}
+	cut, boundary := v3Totals(g, sf.meta.parts)
+	if uint64(cut) != sf.meta.cutEdges || uint64(boundary) != sf.meta.boundary {
+		return nil, fmt.Errorf("graph: v3 totals (%d cut, %d boundary) disagree with payload (%d, %d)",
+			sf.meta.cutEdges, sf.meta.boundary, cut, boundary)
 	}
 	return g, nil
 }

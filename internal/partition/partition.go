@@ -227,34 +227,3 @@ func Classify(g *graph.CSR, a *Assignment) Classification {
 	}
 	return c
 }
-
-// VertexLists returns, per part, the ascending list of its vertices as
-// sub-slices of one backing buffer (buf when it has capacity n, else a
-// fresh allocation) — the per-shard subrange views the sharded engine
-// iterates without copying the CSR. A counting sort over an already
-// index-sorted domain keeps each list ascending.
-func (a *Assignment) VertexLists(buf []graph.VertexID) [][]graph.VertexID {
-	n := len(a.Parts)
-	if cap(buf) < n {
-		buf = make([]graph.VertexID, n)
-	}
-	buf = buf[:n]
-	offsets := make([]int, a.K+1)
-	for _, p := range a.Parts {
-		offsets[p+1]++
-	}
-	for p := 1; p <= a.K; p++ {
-		offsets[p] += offsets[p-1]
-	}
-	next := make([]int, a.K)
-	copy(next, offsets[:a.K])
-	for v, p := range a.Parts {
-		buf[next[p]] = graph.VertexID(v)
-		next[p]++
-	}
-	lists := make([][]graph.VertexID, a.K)
-	for p := 0; p < a.K; p++ {
-		lists[p] = buf[offsets[p]:offsets[p+1]]
-	}
-	return lists
-}

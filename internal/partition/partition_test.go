@@ -179,45 +179,6 @@ func TestRangesInto(t *testing.T) {
 	}
 }
 
-// TestVertexLists pins the counting-sort views: every part's list is
-// ascending, matches the assignment, shares the caller's backing buffer,
-// and together the lists cover each vertex exactly once.
-func TestVertexLists(t *testing.T) {
-	g := testGraph(t, 500, 2000, 6)
-	a, err := LabelPropagation(g, 4, 10, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]graph.VertexID, 500)
-	lists := a.VertexLists(buf)
-	if len(lists) != a.K {
-		t.Fatalf("%d lists for K=%d", len(lists), a.K)
-	}
-	seen := make([]bool, 500)
-	total := 0
-	for p, list := range lists {
-		for i, v := range list {
-			if i > 0 && list[i-1] >= v {
-				t.Fatalf("part %d not ascending at %d: %d >= %d", p, i, list[i-1], v)
-			}
-			if int(a.Parts[v]) != p {
-				t.Fatalf("vertex %d listed in part %d but assigned %d", v, p, a.Parts[v])
-			}
-			if seen[v] {
-				t.Fatalf("vertex %d listed twice", v)
-			}
-			seen[v] = true
-			total++
-		}
-	}
-	if total != 500 {
-		t.Fatalf("lists cover %d of 500 vertices", total)
-	}
-	if len(lists[0]) > 0 && &lists[0][0] != &buf[0] {
-		t.Fatal("VertexLists did not use the caller buffer")
-	}
-}
-
 // FuzzAssignmentInvariants cross-checks the assignment statistics
 // against Validate on fuzzer-shaped graphs and part vectors: whenever
 // Validate accepts the assignment, EdgeCut, BoundaryVertices, Sizes and

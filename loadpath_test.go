@@ -47,9 +47,10 @@ func colorsOf(t *testing.T, g *Graph, opts ColorOptions) []uint16 {
 // TestMappedV3MatchesSourceAllDatasets saves each of the ten Table 3
 // generators (small variants — same generator code, reduced parameters)
 // as a one-shard v3 file and checks OpenGraphFile maps it, element-
-// identical to the source and to the copying v3 reader, and that dct at
-// one and two workers and the sharded engine on the cached partition
-// color it byte-identically to the source.
+// identical to the source and to the file's in-core copy
+// (ShardedFile.Materialize), and that dct at one and two workers and the
+// sharded engine on the cached partition color it byte-identically to
+// the source.
 func TestMappedV3MatchesSourceAllDatasets(t *testing.T) {
 	dir := t.TempDir()
 	for _, d := range gen.SmallRegistry() {
@@ -65,9 +66,14 @@ func TestMappedV3MatchesSourceAllDatasets(t *testing.T) {
 		if err := SaveGraph(path, prepared); err != nil {
 			t.Fatalf("%s: save: %v", d.Abbrev, err)
 		}
-		copied, _, err := graph.LoadBinaryV3File(path)
+		sf, err := graph.OpenShardedFile(path)
 		if err != nil {
-			t.Fatalf("%s: copying read: %v", d.Abbrev, err)
+			t.Fatalf("%s: OpenShardedFile: %v", d.Abbrev, err)
+		}
+		copied, err := sf.Materialize()
+		sf.Close()
+		if err != nil {
+			t.Fatalf("%s: Materialize: %v", d.Abbrev, err)
 		}
 		h, err := OpenGraphFile(path)
 		if err != nil {
@@ -80,7 +86,7 @@ func TestMappedV3MatchesSourceAllDatasets(t *testing.T) {
 			t.Fatalf("%s: one-shard file not mapped", d.Abbrev)
 		}
 		mapped := h.Graph()
-		for label, want := range map[string]*Graph{"source": prepared, "copying reader": copied} {
+		for label, want := range map[string]*Graph{"source": prepared, "in-core copy": copied} {
 			if !slices.Equal(mapped.Offsets, want.Offsets) || !slices.Equal(mapped.Edges, want.Edges) {
 				t.Fatalf("%s: mapped graph differs from the %s", d.Abbrev, label)
 			}
@@ -111,7 +117,9 @@ func TestMappedV3MatchesSourceAllDatasets(t *testing.T) {
 // its lists, never from the header's flag. A shuffled graph reports
 // unsorted; a crafted file whose flag claims sorted lists over shuffled
 // ones (header checksum recomputed) is not reported sorted either, and
-// colors like greedy, both mapped in core and streamed out of core.
+// colors like greedy, both mapped in core and streamed out of core. The
+// in-core open of a multi-shard file, which copies the lists, refuses
+// the crafted flag instead.
 func TestMappedSortednessFromData(t *testing.T) {
 	g, err := Generate("GD", 3)
 	if err != nil {
@@ -156,6 +164,29 @@ func TestMappedSortednessFromData(t *testing.T) {
 				}
 				h.Close()
 			}
+		} else {
+			h, err := OpenGraphFile(path)
+			if err != nil {
+				t.Fatalf("%d shards in core: %v", shards, err)
+			}
+			mg := h.Graph()
+			if !mg.SortednessKnown() || mg.EdgesSorted() {
+				t.Fatalf("%d shards in core: known=%v sorted=%v, want known unsorted", shards, mg.SortednessKnown(), mg.EdgesSorted())
+			}
+			if got := colorsOf(t, mg, ColorOptions{Engine: EngineDCT, Workers: 2}); !slices.Equal(got, want) {
+				t.Fatalf("%d shards in core: dct w=2 colors differ from greedy", shards)
+			}
+			h.Close()
+			const refused = "graph: v3 sorted flag true disagrees with payload"
+			if h, err := OpenGraphFile(crafted); err == nil || err.Error() != refused {
+				if err == nil {
+					h.Close()
+				}
+				t.Fatalf("%d shards in core, crafted flag: err = %v, want %q", shards, err, refused)
+			}
+			if runtime.GOOS == "linux" && mapsFile(t, crafted) {
+				t.Fatalf("%d shards in core, crafted flag: still mapped after the failed open", shards)
+			}
 		}
 		h, err := OpenGraphFileOutOfCore(crafted)
 		if err != nil {
@@ -173,47 +204,50 @@ func TestMappedSortednessFromData(t *testing.T) {
 }
 
 // TestOpenGraphFileCorruptOneShard flips one byte in each region of a
-// one-shard file: every open fails with a checksum error and leaves no
+// one-shard file, and in each section of a four-shard range file's last
+// shard, so that the in-core open has mapped three shards before it
+// meets the fault: every open fails with a checksum error and leaves no
 // mapping of the file behind.
 func TestOpenGraphFileCorruptOneShard(t *testing.T) {
 	g, err := Generate("EF", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "g.bcsr")
-	if err := SaveGraph(path, g); err != nil {
-		t.Fatal(err)
-	}
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The v3 layout of one shard: a 64-byte header, the meta section
-	// (parts padded to 8 bytes, two totals, one 80-byte directory
-	// record), then 64-byte-aligned offsets, edges and vertex map.
-	nv, ne := uint64(g.NumVertices()), uint64(g.NumEdges())
-	align := func(x uint64) uint64 { return (x + 63) &^ 63 }
-	meta := uint64(64)
-	offsets := align(meta + (nv*4+7)&^7 + 16 + 80)
-	edges := align(offsets + (nv+1)*8)
-	vmap := align(edges + ne*4)
-	for region, at := range map[string]uint64{
-		"header": 20, "meta": meta + 4, "offsets": offsets + 8, "edges": edges + 4, "vertex map": vmap + 4,
-	} {
-		bad := append([]byte(nil), img...)
-		bad[at] ^= 0x10
-		p := filepath.Join(t.TempDir(), "bad.bcsr")
-		if err := os.WriteFile(p, bad, 0o644); err != nil {
+	for _, shards := range []int{1, 4} {
+		path := filepath.Join(t.TempDir(), "g.bcsr")
+		if err := SaveGraphV3(path, g, shards, PartitionRanges); err != nil {
 			t.Fatal(err)
 		}
-		if h, err := OpenGraphFile(p); err == nil || !strings.Contains(err.Error(), "checksum") {
-			if err == nil {
-				h.Close()
-			}
-			t.Fatalf("%s byte flipped: err = %v, want a checksum error", region, err)
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if runtime.GOOS == "linux" && mapsFile(t, p) {
-			t.Fatalf("%s byte flipped: %s is still mapped after the failed open", region, p)
+		// The v3 layout: a 64-byte header, the meta section (parts padded
+		// to 8 bytes, two totals, one 80-byte directory record per shard),
+		// then each shard's 64-byte-aligned offsets, edges and vertex map.
+		dirs := v3Dirs(img)
+		last := dirs[len(dirs)-1]
+		regions := map[string]int{"offsets": last.offsets + 8, "edges": last.edges + 4, "vertex map": last.vmap + 4}
+		if shards == 1 {
+			regions["header"], regions["meta"] = 20, 64+4
+		}
+		for region, at := range regions {
+			label := fmt.Sprintf("%d shards, %s", shards, region)
+			bad := slices.Clone(img)
+			bad[at] ^= 0x10
+			p := filepath.Join(t.TempDir(), "bad.bcsr")
+			if err := os.WriteFile(p, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if h, err := OpenGraphFile(p); err == nil || !strings.Contains(err.Error(), "checksum") {
+				if err == nil {
+					h.Close()
+				}
+				t.Fatalf("%s byte flipped: err = %v, want a checksum error", label, err)
+			}
+			if runtime.GOOS == "linux" && mapsFile(t, p) {
+				t.Fatalf("%s byte flipped: %s is still mapped after the failed open", label, p)
+			}
 		}
 	}
 }

@@ -12,8 +12,9 @@ import (
 
 // TestSaveGraphV3RoundTrip pins the eager v3 open path: SaveGraphV3's
 // output sniffs as FormatBCSR3, OpenGraphFile materializes the exact
-// source CSR and exposes the persisted partition metadata, and LoadGraph
-// reads the file through the copying reader too.
+// source CSR, mapping each of the four shards once and releasing it, and
+// exposes the persisted partition metadata, and LoadGraph reads the file
+// too.
 func TestSaveGraphV3RoundTrip(t *testing.T) {
 	g, err := Generate("EF", 11)
 	if err != nil {
@@ -36,6 +37,9 @@ func TestSaveGraphV3RoundTrip(t *testing.T) {
 	}
 	if h.OutOfCore() {
 		t.Fatal("eager open reported out-of-core")
+	}
+	if st := h.ShardStats(); st.Maps != 4 || st.Unmaps != 4 || st.ResidentBytes != 0 {
+		t.Fatalf("after the in-core open %+v, want 4 maps and unmaps, nothing resident", st)
 	}
 	got := h.Graph()
 	if got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() {
