@@ -49,11 +49,10 @@ type benchBaseline struct {
 	// because the workload is pure dispatch with no kernel noise.
 	ExecRatio float64 `json:"exec_dispatch_ratio"`
 	// OutOfCoreRatio is streamed sharded coloring (BCSR v3 handle,
-	// shards=4, residency 2, one worker, cached partition) / in-core
-	// sharded (same shape, partition rebuilt per run) on GD — the ordered
-	// stream's shard maps against the in-core partition bookkeeping and
-	// frontier phase.
-	OutOfCoreRatio float64 `json:"outofcore_stream_vs_sharded_ratio"`
+	// shards=4, residency 2, one worker, cached partition) / dct (one
+	// worker) on GD — what streaming adds to the kernel it runs: shard
+	// maps, checksums and unmaps, and the per-shard loops.
+	OutOfCoreRatio float64 `json:"outofcore_stream_vs_dct_ratio"`
 }
 
 func loadBaseline(t *testing.T) benchBaseline {
@@ -370,14 +369,20 @@ func TestBenchGuardLoadPathRatio(t *testing.T) {
 	}
 }
 
+// outOfCorePairs is the out-of-core guard's pair count, the engine
+// guards' 301: on a 2-CPU host 24 runs of about 2 s read 1.66–1.84
+// (median 1.725), so a run passes inside the 10% tolerance and fails
+// when the streamed arm does 20% more work.
+const outOfCorePairs = 301
+
 // TestBenchGuardOutOfCoreOverhead pins the streaming executor against
-// the in-core sharded engine at the same shape (shards=4, one worker)
-// on GD: the streamed arm colors through a 2-shard residency window off
-// a BCSR v3 handle with the cached partition, the in-core arm holds the
-// whole graph resident and rebuilds the partition per run. The ratio
-// may not drift more than 10% above the recorded baseline; like the
-// observer guard it retries, since a GC pause landing in the mmap-heavy
-// streamed arm fakes a regression once but not three times.
+// the kernel it runs: streamed sharded coloring of GD (BCSR v3 handle,
+// 4 range shards, residency 2, one worker, cached partition) over DCT
+// at one worker on the same graph, whose colors the stream reproduces
+// byte for byte. The ratio is what streaming adds — shard maps, their
+// checksums, unmaps and the per-shard loops — and the median of
+// outOfCorePairs alternating per-pair ratios may exceed the recorded
+// baseline by at most 10%.
 func TestBenchGuardOutOfCoreOverhead(t *testing.T) {
 	if os.Getenv(benchGuardEnv) == "" {
 		t.Skipf("set %s=1 to run the out-of-core overhead guard", benchGuardEnv)
@@ -394,32 +399,27 @@ func TestBenchGuardOutOfCoreOverhead(t *testing.T) {
 	}
 	defer h.Close()
 
-	limit := base.OutOfCoreRatio * 1.10
-	var ratio float64
-	for attempt := 1; ; attempt++ {
-		runtime.GC()
-		incore, streamed := minTimePair(9, func() {
-			if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
-				Engine: EngineSharded, ShardCount: 4, Workers: 1,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}, func() {
-			if _, _, err := ColorHandle(h, ColorOptions{
-				Engine: EngineSharded, Workers: 1, MaxResidentShards: 2,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		ratio = float64(streamed) / float64(incore)
-		t.Logf("attempt %d: streamed %v / in-core sharded %v = ratio %.4f (baseline %.4f, limit %.4f)",
-			attempt, streamed, incore, ratio, base.OutOfCoreRatio, limit)
-		if ratio <= limit || attempt == 3 {
-			break
+	dct := func() {
+		if _, _, err := ColorContext(context.Background(), prepared, ColorOptions{
+			Engine: EngineDCT, Workers: 1,
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
+	streamed := func() {
+		if _, _, err := ColorHandle(h, ColorOptions{
+			Engine: EngineSharded, Workers: 1, MaxResidentShards: 2,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	medianPairRatio(outOfCorePairs/10, streamed, dct) // warm the page cache and the allocator
+	ratio := medianPairRatio(outOfCorePairs, streamed, dct)
+	limit := base.OutOfCoreRatio * 1.10
+	t.Logf("streamed / dct at one worker: median of %d pair ratios %.4f (baseline %.4f, limit %.4f)",
+		outOfCorePairs, ratio, base.OutOfCoreRatio, limit)
 	if ratio > limit {
-		t.Fatalf("out-of-core streaming regressed: ratio %.4f exceeds baseline %.4f by more than 10%% on every attempt",
+		t.Fatalf("out-of-core streaming regressed: ratio %.4f exceeds baseline %.4f by more than 10%%",
 			ratio, base.OutOfCoreRatio)
 	}
 }
