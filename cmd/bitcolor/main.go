@@ -98,7 +98,7 @@ func main() {
 	flag.StringVar(&cfg.engine, "engine", "bitwise", engineUsage)
 	flag.IntVar(&cfg.parallelism, "parallelism", 16, "BWPE count for the accelerator engine (power of two)")
 	flag.IntVar(&cfg.workers, "workers", 0, "goroutines for the host-parallel engines (jonesplassmann, speculative, parallelbitwise, dct, sharded; 0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.shards, "shards", 0, "partition count for the sharded engine (0/1 = single shard, plain DCT)")
+	flag.IntVar(&cfg.shards, "shards", 0, "partition count for the sharded engine (0/1 = single shard, plain DCT; 0 on a multi-shard BCSR v3 -input uses the file's partition)")
 	flag.StringVar(&cfg.partition, "partition", "", "partition strategy for the sharded engine: ranges (default) | labelprop")
 	flag.BoolVar(&cfg.outOfCore, "outofcore", false, "stream a range-partitioned BCSR v3 -input shard by shard in index order instead of materializing it (sharded engine only; a labelprop file colors in core without this flag)")
 	flag.IntVar(&cfg.resident, "resident", 0, "out-of-core resident-shard bound (0 = one shard at a time; clamped to the shard count)")
@@ -171,9 +171,6 @@ func run(ctx context.Context, cfg runConfig) error {
 		})
 		defer stopWD()
 	}
-	if cfg.outOfCore {
-		return runOutOfCore(ctx, cfg)
-	}
 	var (
 		g   *bitcolor.Graph
 		err error
@@ -181,19 +178,32 @@ func run(ctx context.Context, cfg runConfig) error {
 	switch {
 	case cfg.input != "" && cfg.dataset != "":
 		return fmt.Errorf("give either -input or -dataset, not both")
+	case cfg.outOfCore && cfg.input == "":
+		return fmt.Errorf("-outofcore needs -input FILE (a BCSR v3 file from `preprocess -shards K`)")
 	case cfg.input != "":
 		// The handle stays open for the whole run: with -no-preprocess a
 		// mapped one-shard BCSR v3 input is colored straight out of the
 		// page cache, zero-copy.
-		h, herr := bitcolor.OpenGraphFileContext(ctx, cfg.input)
+		open := bitcolor.OpenGraphFileContext
+		if cfg.outOfCore {
+			open = bitcolor.OpenGraphFileOutOfCoreContext
+		}
+		h, herr := open(ctx, cfg.input)
 		if herr != nil {
 			return herr
 		}
 		defer h.Close()
-		g = h.Graph()
 		if cfg.verbose {
-			fmt.Printf("input format: %s (mapped: %v)\n", h.Format(), h.Mapped())
+			fmt.Printf("input format: %s (mapped: %v", h.Format(), h.Mapped())
+			if k := h.NumShards(); k > 1 {
+				fmt.Printf(", %d shards, %s partition", k, h.PartitionStrategy())
+			}
+			fmt.Println(")")
 		}
+		if cfg.outOfCore || (h.NumShards() > 1 && cfg.engine == "sharded") {
+			return colorHandle(ctx, cfg, h)
+		}
+		g = h.Graph()
 	case cfg.dataset != "":
 		g, err = bitcolor.Generate(cfg.dataset, cfg.seed)
 	default:
@@ -215,7 +225,6 @@ func run(ctx context.Context, cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	info, _ := eng.Info()
 	pipe := bitcolor.Pipeline{
 		SkipPreprocess: cfg.noPrep,
 		Color: bitcolor.ColorOptions{
@@ -238,26 +247,7 @@ func run(ctx context.Context, cfg runConfig) error {
 		}
 		return err
 	}
-	if info.Parallel {
-		fmt.Printf("engine: %v (%d workers)\n", eng, pr.Stats.Workers)
-	} else {
-		fmt.Printf("engine: %v\n", eng)
-	}
-	fmt.Printf("colors used: %d\n", pr.Result.NumColors)
-	if pr.Stats.Rounds > 0 {
-		fmt.Printf("rounds: %d, conflicts: %d found / %d repaired, worker imbalance: %.2fx\n",
-			pr.Stats.Rounds, pr.Stats.ConflictsFound, pr.Stats.ConflictsRepaired, pr.Stats.Imbalance())
-	}
-	if pr.Stats.Deferred > 0 || pr.Stats.SpinWaits > 0 {
-		fmt.Printf("deferred: %d parked / %d replays, ring peak: %d/%d, spin waits: %d\n",
-			pr.Stats.Deferred, pr.Stats.DeferRetries, pr.Stats.ForwardRingPeak,
-			bitcolor.ForwardRingCap, pr.Stats.SpinWaits)
-	}
-	if pr.Stats.Shards > 0 {
-		fmt.Printf("shards: %d, cut edges: %d, boundary vertices: %d, frontier: %d, cross-shard defers: %d\n",
-			pr.Stats.Shards, pr.Stats.CutEdges, pr.Stats.BoundaryVertices,
-			pr.Stats.FrontierVertices, pr.Stats.CrossShardDefers)
-	}
+	printStats(eng, pr.Result.NumColors, pr.Stats)
 	for _, s := range pr.Stages {
 		fmt.Printf("  %-10s %v\n", s.Name, s.Duration.Round(time.Microsecond))
 	}
@@ -265,31 +255,45 @@ func run(ctx context.Context, cfg runConfig) error {
 	return writeColors(cfg.colorsOut, pr.Result.Colors)
 }
 
-// runOutOfCore colors a range-partitioned BCSR v3 file with the
-// streaming executor: shards are mapped in index order and released one
-// residency window at a time, so the whole adjacency never sits in
-// memory at once. The graph is colored exactly as the preprocessed file
-// laid it out — there is no in-memory preprocessing stage to skip or
-// apply.
-func runOutOfCore(ctx context.Context, cfg runConfig) error {
-	if cfg.input == "" {
-		return fmt.Errorf("-outofcore needs -input FILE (a BCSR v3 file from `preprocess -shards K`)")
+// printStats prints a software run's engine, color count and RunStats
+// lines, whichever path colored it.
+func printStats(eng bitcolor.Engine, colors int, st bitcolor.RunStats) {
+	if info, _ := eng.Info(); info.Parallel {
+		fmt.Printf("engine: %v (%d workers)\n", eng, st.Workers)
+	} else {
+		fmt.Printf("engine: %v\n", eng)
 	}
-	if cfg.dataset != "" {
-		return fmt.Errorf("-outofcore streams from disk; give -input, not -dataset")
+	fmt.Printf("colors used: %d\n", colors)
+	if st.Rounds > 0 {
+		fmt.Printf("rounds: %d, conflicts: %d found / %d repaired, worker imbalance: %.2fx\n",
+			st.Rounds, st.ConflictsFound, st.ConflictsRepaired, st.Imbalance())
 	}
+	if st.Deferred > 0 || st.SpinWaits > 0 {
+		fmt.Printf("deferred: %d parked / %d replays, ring peak: %d/%d, spin waits: %d\n",
+			st.Deferred, st.DeferRetries, st.ForwardRingPeak,
+			bitcolor.ForwardRingCap, st.SpinWaits)
+	}
+	if st.Shards > 0 {
+		fmt.Printf("shards: %d, cut edges: %d, boundary vertices: %d, frontier: %d, cross-shard defers: %d\n",
+			st.Shards, st.CutEdges, st.BoundaryVertices,
+			st.FrontierVertices, st.CrossShardDefers)
+	}
+	if st.ResidentShards > 0 {
+		fmt.Printf("residency: %d shards mapped at once, peak mapped %.2f MiB\n",
+			st.ResidentShards, float64(st.PeakMappedBytes)/(1<<20))
+	}
+}
+
+// colorHandle colors a multi-shard BCSR v3 file as the file lays it out,
+// through ColorHandleContext: in core with the file's persisted shard
+// count, strategy and assignment, or, with -outofcore, streamed shard by
+// shard in index order so the whole adjacency never sits in memory at
+// once. No DBG pass runs: it would renumber the vertices the partition
+// indexes, and the file was preprocessed when it was written.
+func colorHandle(ctx context.Context, cfg runConfig, h *bitcolor.GraphHandle) error {
 	eng, err := bitcolor.ParseEngine(cfg.engine)
 	if err != nil {
 		return err
-	}
-	h, err := bitcolor.OpenGraphFileOutOfCoreContext(ctx, cfg.input)
-	if err != nil {
-		return err
-	}
-	defer h.Close()
-	if cfg.verbose {
-		fmt.Printf("input format: %s (%d shards, %s partition)\n",
-			h.Format(), h.NumShards(), h.PartitionStrategy())
 	}
 	stopProf, err := startProfiles(cfg.pprofDir)
 	if err != nil {
@@ -299,7 +303,7 @@ func runOutOfCore(ctx context.Context, cfg runConfig) error {
 	res, st, err := bitcolor.ColorHandleContext(ctx, h, bitcolor.ColorOptions{
 		Engine: eng, MaxColors: cfg.maxColors, Seed: cfg.seed, Workers: cfg.workers,
 		ShardCount: cfg.shards, PartitionStrategy: cfg.partition,
-		OutOfCore: true, MaxResidentShards: cfg.resident,
+		OutOfCore: cfg.outOfCore, MaxResidentShards: cfg.resident,
 	})
 	if perr := stopProf(); perr != nil && err == nil {
 		err = perr
@@ -307,12 +311,7 @@ func runOutOfCore(ctx context.Context, cfg runConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("engine: %v (%d workers, out-of-core)\n", eng, st.Workers)
-	fmt.Printf("colors used: %d\n", res.NumColors)
-	fmt.Printf("shards: %d, cut edges: %d, boundary vertices: %d\n",
-		st.Shards, st.CutEdges, st.BoundaryVertices)
-	fmt.Printf("residency: %d shards mapped at once, peak mapped %.2f MiB\n",
-		st.ResidentShards, float64(st.PeakMappedBytes)/(1<<20))
+	printStats(eng, res.NumColors, st)
 	fmt.Printf("wall time: %v\n", time.Since(start).Round(time.Microsecond))
 	return writeColors(cfg.colorsOut, res.Colors)
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"bitcolor"
+	"bitcolor/internal/coloring"
 )
 
 // cfg builds a runConfig with the defaults the flag set would apply.
@@ -180,5 +183,84 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(bg, cfg(func(c *runConfig) { c.input = "/nonexistent/file.txt" })); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// captureRun runs the CLI with c and returns what it printed.
+func captureRun(t *testing.T, c runConfig) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run(context.Background(), c)
+	os.Stdout = stdout
+	w.Close()
+	printed := <-out
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("%v\n%s", runErr, printed)
+	}
+	return printed
+}
+
+// TestRunMultiShardFile colors four-shard BCSR v3 files with
+// `-engine sharded`: in core with the file's persisted partition (the
+// stat line reports the file's shard count and cut, with no DBG pass
+// renumbering the vertices it indexes), and with -outofcore on a
+// ranges file, which streams and prints the same coloring stats plus
+// its residency. A labelprop file refuses -outofcore.
+func TestRunMultiShardFile(t *testing.T) {
+	g, err := bitcolor.Generate("GD", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := bitcolor.Preprocess(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, strategy := range []string{bitcolor.PartitionLabelProp, bitcolor.PartitionRanges} {
+		path := filepath.Join(dir, strategy+".bcsr")
+		if err := bitcolor.SaveGraphV3(path, prepared, 4, strategy); err != nil {
+			t.Fatal(err)
+		}
+		a, err := coloring.BuildPartition(prepared, 4, strategy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardLine := fmt.Sprintf("shards: 4, cut edges: %d, boundary vertices: %d,",
+			a.EdgeCut(prepared), a.BoundaryVertices(prepared))
+		for _, shards := range []int{0, 4} {
+			out := captureRun(t, cfg(func(c *runConfig) {
+				c.input, c.engine, c.shards, c.verbose = path, "sharded", shards, true
+			}))
+			if !strings.Contains(out, shardLine) {
+				t.Fatalf("%s -shards %d: want %q in\n%s", strategy, shards, shardLine, out)
+			}
+			if want := fmt.Sprintf("4 shards, %s partition", strategy); !strings.Contains(out, want) {
+				t.Fatalf("%s -shards %d: want %q in\n%s", strategy, shards, want, out)
+			}
+		}
+		streamed := cfg(func(c *runConfig) {
+			c.input, c.engine, c.outOfCore, c.resident = path, "sharded", true, 2
+		})
+		if strategy == bitcolor.PartitionLabelProp {
+			if err := run(context.Background(), streamed); !errors.Is(err, coloring.ErrUnorderedShards) {
+				t.Fatalf("labelprop -outofcore: err %v, want ErrUnorderedShards", err)
+			}
+			continue
+		}
+		out := captureRun(t, streamed)
+		if !strings.Contains(out, "shards: 4, cut edges:") || !strings.Contains(out, "residency: 2 shards mapped at once") {
+			t.Fatalf("-outofcore stat block:\n%s", out)
+		}
 	}
 }

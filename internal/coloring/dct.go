@@ -114,8 +114,9 @@ func dctRun(ctx context.Context, g *graph.CSR, maxColors int, opts Options, sc *
 	return f.finish(), st, nil
 }
 
-// dctAttempt is DCT's attempt kernel, shared by dctRun and the ordered
-// out-of-core stream, which differ only in where v's adjacency comes
+// dctAttempt is DCT's attempt kernel, shared by dctRun, both phases of
+// the in-core sharded engine and the ordered out-of-core stream, which
+// differ only in which vertices they walk and where v's adjacency comes
 // from. It colors v if every lower-indexed neighbor has published, one
 // acquire load per neighbor. Higher-indexed neighbors are never read:
 // under the DCT discipline they defer on v. On a sorted adjacency list

@@ -63,10 +63,10 @@ func newFrame(opts Options, sc *Scratch, n, count, maxColors, ringCap int) frame
 }
 
 // fold is the one place counter shards become RunStats: the per-lane
-// vertex split, the conflict, defer, spin-wait and cross-shard totals,
-// the gather report and v_t, and the ring peak. A counter an engine
-// never touches folds to zero; the block split is reported only by the
-// block-sweep engines, and the ring peak only when this run had rings.
+// vertex split, the conflict, defer and spin-wait totals, the gather
+// report and v_t, and the ring peak. A counter an engine never touches
+// folds to zero; the block split is reported only by the block-sweep
+// engines, and the ring peak only when this run had rings.
 func (f *frame) fold(st *metrics.RunStats) {
 	ss, lanes := f.ss, len(f.ws)
 	st.VerticesPerWorker = ss.PerWorkerInto(obs.CtrVertices, f.sc.perWorkerBuf(0, lanes))
@@ -78,7 +78,6 @@ func (f *frame) fold(st *metrics.RunStats) {
 	st.Deferred = ss.Total(obs.CtrDeferred)
 	st.DeferRetries = ss.Total(obs.CtrDeferRetries)
 	st.SpinWaits = ss.Total(obs.CtrSpinWaits)
-	st.CrossShardDefers = ss.Total(obs.CtrCrossDefers)
 	st.Gather = metrics.GatherStats{
 		HotReads:       ss.Total(obs.CtrHotReads),
 		MergedReads:    ss.Total(obs.CtrMergedReads),
@@ -168,7 +167,7 @@ func oneRound(opts Options, n int, st *metrics.RunStats) *obs.Span {
 
 // ownerRun is what the owner-computes engines (dctRun and the two
 // sharded executors) share across their OwnerLoops: the context, the
-// abort flag, and the forwarding-latency hooks.
+// shared color words, the abort flag, and the forwarding-latency hooks.
 type ownerRun struct {
 	ctx    context.Context
 	shared []uint32
@@ -197,16 +196,15 @@ func newOwnerRun(ctx context.Context, o *obs.Observer, shared []uint32) *ownerRu
 }
 
 // loop builds lane s's OwnerLoop around attempt. A vertex has published
-// once its shared color word is nonzero; the sharded frontier, where a
-// mark stands for "pending", replaces Published.
+// once its shared color word is nonzero.
 func (r *ownerRun) loop(s *workerScratch, attempt func(graph.VertexID) (graph.VertexID, exec.Outcome)) exec.OwnerLoop {
 	return exec.OwnerLoop{
 		Ctx:       r.ctx,
 		Abort:     &r.abort,
 		Ring:      s.ring,
 		Shard:     s.sh,
+		Shared:    r.shared,
 		Attempt:   attempt,
-		Published: func(u uint32) bool { return atomic.LoadUint32(&r.shared[u]) != 0 },
 		FailErr:   ErrPaletteExhausted,
 		Clock:     r.clock,
 		OnForward: r.onForward,

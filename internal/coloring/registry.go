@@ -377,7 +377,7 @@ func init() {
 		Name:        "sharded",
 		Parallel:    true,
 		Stats:       "workers, shards, boundary, deferred, work split, gather",
-		Description: "partitioned multi-card DCT: per-shard interior coloring plus one boundary-frontier phase in core, one ordered pass over range shards out of core — deterministic, identical to greedy at any shard and worker count",
+		Description: "partitioned multi-card DCT: the DCT kernel over each shard's interior, then over the partition's boundary frontier in core; one ordered pass over range shards out of core — deterministic, identical to greedy at any shard and worker count",
 		Run: func(ctx context.Context, g *graph.CSR, opts Options) (*Result, metrics.RunStats, error) {
 			return ShardedOpts(ctx, g, opts.maxColors(), opts)
 		},

@@ -38,7 +38,8 @@ type Scratch struct {
 	rank    []int32
 	pending []graph.VertexID
 	epoch   []uint32
-	parts   []int32 // partition assignment vector (sharded engine)
+	parts   []int32  // partition assignment vector (sharded engine)
+	front   []uint64 // frontier membership bits (sharded engine)
 	perWk   [3][]int64
 	durs    [2][]time.Duration
 	res     Result
@@ -195,6 +196,21 @@ func (s *Scratch) partsBuf(n int) []int32 {
 		s.parts = make([]int32, n)
 	}
 	return s.parts[:n]
+}
+
+// frontierBufs returns the sharded engine's frontier list and
+// membership-bit buffers for partition.ClassifyInto, reserving room for
+// every vertex. Nil Scratch → nil, nil, letting ClassifyInto allocate
+// (the list then grows by appending, since the frontier is usually a
+// small share of the graph).
+func (s *Scratch) frontierBufs(n int) ([]graph.VertexID, []uint64) {
+	if s == nil {
+		return nil, nil
+	}
+	if words := (n + 63) / 64; cap(s.front) < words {
+		s.front = make([]uint64, words)
+	}
+	return s.pendingBuf(n), s.front
 }
 
 // perWorkerBuf returns a length-`workers` int64 buffer for one of the

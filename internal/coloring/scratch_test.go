@@ -3,6 +3,7 @@ package coloring
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bitcolor/internal/graph"
@@ -154,6 +155,48 @@ func TestScratchZeroAllocEngines(t *testing.T) {
 		sc.Release()
 		if avg != 0 {
 			t.Errorf("%s w=1 on pooled Scratch: %.1f allocs/run, want 0", engine, avg)
+		}
+	}
+}
+
+// TestScratchShardedNoPerRunVertexBuffers holds a multi-shard run on a
+// pooled Scratch to its contract: the partition, the frontier list and
+// its membership bits, the vertex lists and the shared colors all come
+// from the arena, so a steady-state run allocates less than one byte per
+// 16 vertices — below any per-vertex buffer, the n/8-byte frontier
+// bitset included. What it does allocate is per lane and per shard:
+// goroutines, closures and the per-shard tallies.
+func TestScratchShardedNoPerRunVertexBuffers(t *testing.T) {
+	const n = 1 << 17
+	g := scratchTestGraph(t, n, 2*n, 29)
+	ctx := context.Background()
+	info, _ := Lookup("sharded")
+	for _, strategy := range []string{PartitionRanges, PartitionLabelProp} {
+		for _, workers := range []int{1, 2} {
+			sc := AcquireScratch("sharded", workers, n)
+			opts := Options{Workers: workers, Shards: 4, PartitionStrategy: strategy, Scratch: sc}
+			_, st, err := info.Run(ctx, g, opts) // warm: grows the arena
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.FrontierVertices == 0 {
+				t.Fatalf("%s w=%d: empty frontier; the test needs one", strategy, workers)
+			}
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, _, err := info.Run(ctx, g, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			sc.Release()
+			perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+			t.Logf("%s w=%d: %d bytes/run, frontier %d", strategy, workers, perRun, st.FrontierVertices)
+			if perRun >= n/16 {
+				t.Errorf("%s w=%d on a pooled Scratch: %d bytes/run, want < %d", strategy, workers, perRun, n/16)
+			}
 		}
 	}
 }

@@ -4,43 +4,37 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"bitcolor/internal/exec"
 	"bitcolor/internal/graph"
 	"bitcolor/internal/metrics"
-	"bitcolor/internal/obs"
 	"bitcolor/internal/partition"
 )
 
 // ShardedOpts is the host rendering of the paper's multi-card scale-out:
 // the graph is partitioned into `shards` parts (the per-FPGA subgraphs),
-// every shard colors its *interior* concurrently with the proven DCT
+// every shard colors its *interior* concurrently with the DCT
 // owner-computes loop over its own vertex list, and the vertices whose
 // coloring depends on another shard — the boundary frontier — are
-// resolved in one bounded second phase using the same lower-index-wins
-// engine.Defers orientation. Cross-shard edges therefore never force a
-// global round barrier: there is exactly one barrier in the whole run,
-// between the interior and frontier phases.
+// colored in one bounded second phase by the same loop. Cross-shard
+// edges therefore never force a global round barrier: there is exactly
+// one barrier in the whole run, between the interior and frontier
+// phases.
 //
-// Phase one publishes a mark sentinel instead of a color for any vertex
-// that cannot be finished shard-locally: a vertex with a lower-indexed
-// neighbor in another shard is marked outright (the structural cross
-// cause), and a vertex whose lower-indexed in-shard neighbor was marked
-// cascades onto the frontier behind it. A vertex is colored in phase one
-// only when *every* lower-indexed neighbor already has its final color,
-// and phase two colors the frontier in ascending index order under the
-// same rule — so the fixpoint is unique and the result is byte-identical
-// to sequential greedy at every (shards × workers) combination. Frontier
-// membership is structural (cross-shard adjacency plus its in-shard
-// cascade), not a race outcome, so RunStats.FrontierVertices and
-// CrossShardDefers are deterministic too.
-//
-// Within phase one, shards are fully independent: a worker never reads a
-// cross-shard color (the parts test precedes the load), so the only
-// cross-shard communication in the whole engine is the frontier phase
-// reading colors the barrier already ordered.
+// The frontier is a property of the graph and the partition, found by
+// partition.ClassifyInto in the sweep that counts the cut: a vertex joins
+// it when a lower-indexed neighbor lies in another shard (the cross
+// cause RunStats.CrossShardDefers counts) or is on the frontier itself
+// (the in-shard cascade). So every lower-indexed neighbor of an interior
+// vertex is an interior vertex of its own shard, and both phases run
+// DCT's attempt kernel unchanged: the interior lanes hand frontier
+// vertices to the second phase and never read another shard's colors,
+// and the frontier phase colors the frontier in ascending index order
+// after the barrier has finished every interior color. A vertex is
+// colored only when every lower-indexed neighbor has its final color,
+// so the result is byte-identical to sequential greedy at every
+// (shards × workers) combination.
 const (
 	// PartitionRanges selects contiguous index-range partitioning (the
 	// zero-cost default, what a naive multi-card deployment gets).
@@ -57,13 +51,6 @@ const (
 	shardLabelPropRounds = 10
 	shardLabelPropSlack  = 0.15
 )
-
-// shardMark is the "deferred to the boundary frontier" sentinel in the
-// shared color array. Real colors are uint16 (≤ 65535), so the sentinel
-// can never collide; like a real color it is non-zero, so the DCT-style
-// "published" checks (shared[u] != 0) treat a mark as progress and no
-// phase-one wait can hang on a vertex that went to the frontier.
-const shardMark = ^uint32(0)
 
 // BuildPartition builds the sharded engine's partition for a graph
 // without running it — the entry the BCSR v3 writer uses so a persisted
@@ -151,7 +138,8 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		}
 	}
 	parts := a.Parts
-	cl := partition.Classify(g, a)
+	frontier, onFrontier := sc.frontierBufs(n)
+	cl := partition.ClassifyInto(g, a, frontier, onFrontier)
 	// Range shards (a nondecreasing parts vector) are ID ranges, walked
 	// by RunRange; any other partition needs its ascending vertex lists.
 	ranged := slices.IsSorted(parts)
@@ -172,90 +160,34 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		Shards:           shards,
 		BoundaryVertices: cl.Boundary,
 		CutEdges:         cl.CutEdges,
+		CrossShardDefers: cl.CrossDefers,
+		FrontierVertices: len(cl.Frontier),
 	}
-	shared, sorted, useGather := f.shared, g.EdgesSorted(), f.gather
+	shared, sorted, tally := f.shared, g.EdgesSorted(), f.gather
 	run := newOwnerRun(ctx, opts.Obs, shared)
-
-	// attemptInterior colors v when every lower-indexed neighbor already
-	// has its final color, marks it onto the frontier when a lower
-	// neighbor is cross-shard (checked structurally, before any load, so
-	// shards never read each other's colors) or in-shard but marked, and
-	// defers on the first still-pending in-shard neighbor otherwise. The
-	// scan never stops early at a pending or marked neighbor — a later
-	// cross-shard neighbor must still win, or CrossShardDefers would
-	// depend on timing.
-	attemptInterior := func(s *workerScratch, v graph.VertexID, pv int32) (graph.VertexID, exec.Outcome) {
-		s.state.Reset()
-		adj := g.Neighbors(v)
-		var firstPending graph.VertexID
-		pending, cascade := false, false
-		for i, u := range adj {
-			if u > v {
-				if !sorted {
-					continue
-				}
-				if useGather {
-					s.sh.Add(obs.CtrPrunedTail, int64(len(adj)-i))
-				}
-				break
-			}
-			if parts[u] != pv {
-				atomic.StoreUint32(&shared[v], shardMark)
-				s.sh.Inc(obs.CtrCrossDefers)
-				return 0, exec.Handed
-			}
-			var c uint32
-			if useGather {
-				c = s.ga.load(u)
-			} else {
-				c = atomic.LoadUint32(&shared[u])
-			}
-			switch c {
-			case shardMark:
-				cascade = true
-			case 0:
-				if !pending {
-					firstPending, pending = u, true
-				}
-			default:
-				s.state.OrColorNum(c)
-			}
-		}
-		if cascade {
-			atomic.StoreUint32(&shared[v], shardMark)
-			return 0, exec.Handed
-		}
-		if pending {
-			return firstPending, exec.Deferred
-		}
-		pick, _ := s.codec.FirstFree(s.state)
-		if pick == 0 {
-			return 0, exec.Failed
-		}
-		atomic.StoreUint32(&shared[v], uint32(pick))
-		s.sh.Inc(obs.CtrVertices)
-		return 0, exec.Colored
+	attempt := func(s *workerScratch, v graph.VertexID) (graph.VertexID, exec.Outcome) {
+		return dctAttempt(s, shared, v, g.Neighbors(v), sorted, tally)
 	}
 
 	// Interior phase: shards × workers goroutines; goroutine (s, w) owns
 	// positions w, w+P, … of shard s's ascending vertices — the DCT
-	// owner-computes schedule applied per shard. A mark is progress too
-	// (it is nonzero): the awaited vertex went to the frontier, and the
-	// replay cascades the parked vertex after it instead of waiting
-	// forever.
+	// owner-computes schedule applied per shard — and hands its frontier
+	// vertices to the second phase.
 	phaseStart := time.Now()
 	laneDur := f.laneDurs()
 	exec.Go(flat, func(idx int) {
 		defer func() { laneDur[idx] = time.Since(phaseStart) }()
 		shard, w := idx/workers, idx%workers
-		pv := int32(shard)
 		s := f.ws[idx]
 		loop := run.loop(s, func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
-			return attemptInterior(s, v, pv)
+			if cl.OnFrontier(v) {
+				return 0, exec.Handed
+			}
+			return attempt(s, v)
 		})
 		if ranged {
-			lo, _ := slices.BinarySearch(parts, pv)
-			hi, _ := slices.BinarySearch(parts, pv+1)
+			lo, _ := slices.BinarySearch(parts, int32(shard))
+			hi, _ := slices.BinarySearch(parts, int32(shard+1))
 			s.err = loop.RunRange(lo+w, workers, hi)
 		} else {
 			s.err = loop.RunList(lists[shard], w, workers)
@@ -270,66 +202,16 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		return nil, st, err
 	}
 
-	// The barrier: every vertex is now colored or marked. Collect the
-	// frontier in ascending index order — membership is structural, so
-	// this list (and its size) is identical across timings. Without a
-	// Scratch the list grows by appending rather than reserving n
-	// entries for what is usually a small share of the graph.
-	var frontier []graph.VertexID
-	if sc != nil {
-		frontier = sc.pendingBuf(n)[:0]
-	}
-	for v := range shared {
-		if shared[v] == shardMark {
-			frontier = append(frontier, graph.VertexID(v))
-		}
-	}
-	st.FrontierVertices = len(frontier)
-
-	// Frontier phase: the DCT loop over the frontier list with the mark
-	// standing in for "pending". A zero color is impossible here, so the
-	// wait conditions test against the sentinel instead.
-	if len(frontier) > 0 {
-		fw := min(workers, len(frontier))
-		attemptFrontier := func(s *workerScratch, v graph.VertexID) (graph.VertexID, exec.Outcome) {
-			s.state.Reset()
-			adj := g.Neighbors(v)
-			for i, u := range adj {
-				if u > v {
-					if !sorted {
-						continue
-					}
-					if useGather {
-						s.sh.Add(obs.CtrPrunedTail, int64(len(adj)-i))
-					}
-					break
-				}
-				var c uint32
-				if useGather {
-					c = s.ga.load(u)
-				} else {
-					c = atomic.LoadUint32(&shared[u])
-				}
-				if c == shardMark {
-					return u, exec.Deferred
-				}
-				s.state.OrColorNum(c)
-			}
-			pick, _ := s.codec.FirstFree(s.state)
-			if pick == 0 {
-				return 0, exec.Failed
-			}
-			atomic.StoreUint32(&shared[v], uint32(pick))
-			s.sh.Inc(obs.CtrVertices)
-			return 0, exec.Colored
-		}
+	// Frontier phase, after the barrier: the DCT loop over the frontier
+	// in ascending index order. Every interior color is final, so a wait
+	// can only be on a lower frontier vertex.
+	if fw := min(workers, len(cl.Frontier)); fw > 0 {
 		exec.Go(fw, func(w int) {
 			s := f.ws[w] // reuses the lane's scratch and ring, both drained
 			loop := run.loop(s, func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
-				return attemptFrontier(s, v)
+				return attempt(s, v)
 			})
-			loop.Published = func(u uint32) bool { return atomic.LoadUint32(&shared[u]) != shardMark }
-			s.err = loop.RunList(frontier, w, fw)
+			s.err = loop.RunList(cl.Frontier, w, fw)
 		})
 	}
 

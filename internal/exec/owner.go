@@ -20,8 +20,9 @@ const (
 	// loop parks the vertex on the forwarding ring (or waits inline
 	// when the ring is full) and replays it when the dependency lands.
 	Deferred
-	// Handed: the vertex was handed off out of this loop (the sharded
-	// engine's frontier mark) — finished as far as this pass cares.
+	// Handed: the vertex belongs to a later pass (the sharded engine's
+	// interior lanes hand off frontier vertices) — finished as far as
+	// this pass cares.
 	Handed
 	// Failed: a terminal per-vertex failure (palette exhaustion). The
 	// loop records FailErr, raises Abort and stops this worker.
@@ -33,7 +34,7 @@ const (
 // pending, replay parked vertices as dependencies publish, and fall
 // back to a yielding inline wait when the ring is full — the DCT
 // park/drain/spin machinery the dct and sharded engines share, with the
-// engine-specific kernel injected through Attempt/Published.
+// engine's kernel injected through Attempt.
 //
 // Exactly one goroutine runs one OwnerLoop. Cancellation is polled
 // every 64 owned vertices and inside every spin; a failed or cancelled
@@ -47,15 +48,14 @@ type OwnerLoop struct {
 	// Shard is this worker's padded counter lane; the loop counts
 	// Deferred, DeferRetries and SpinWaits into it.
 	Shard *obs.Shard
+	// Shared holds one published result word per vertex: a dependency u
+	// has landed once Shared[u] is nonzero. The loop reads it atomically.
+	Shared []uint32
 	// Attempt tries to finish v now: Colored/Handed on success,
 	// (dependency, Deferred) when a lower-indexed vertex must publish
 	// first, Failed on palette exhaustion. The engine.Defers rule must
 	// hold for every returned dependency (the ring enforces it).
 	Attempt func(v graph.VertexID) (graph.VertexID, Outcome)
-	// Published reports whether u's result has landed — the wait
-	// predicate (shared[u] != 0 for the DCT engines, != mark for the
-	// sharded frontier). Must be an atomic read.
-	Published func(u uint32) bool
 	// FailErr is the error recorded when Attempt reports Failed.
 	FailErr error
 	// Clock stamps park times (monotonic nanoseconds since engine
@@ -176,7 +176,7 @@ func (l *OwnerLoop) step(v graph.VertexID) bool {
 			if l.err != nil {
 				return false
 			}
-			if l.Published(uint32(awaited)) {
+			if l.published(uint32(awaited)) {
 				break
 			}
 			if !l.spin() {
@@ -207,7 +207,7 @@ func (l *OwnerLoop) finish() error {
 // original park time) if the replay hits another pending dependency,
 // otherwise finished.
 func (l *OwnerLoop) resolveOne(p dispatch.Parked) (dispatch.Parked, bool) {
-	if !l.Published(p.Awaited) {
+	if !l.published(p.Awaited) {
 		return p, false
 	}
 	l.Shard.Inc(obs.CtrDeferRetries)
@@ -225,6 +225,9 @@ func (l *OwnerLoop) resolveOne(p dispatch.Parked) (dispatch.Parked, bool) {
 	}
 	return dispatch.Parked{}, true
 }
+
+// published reports whether u's result has landed.
+func (l *OwnerLoop) published(u uint32) bool { return atomic.LoadUint32(&l.Shared[u]) != 0 }
 
 // fail records this worker's terminal error and raises the shared
 // abort flag so no peer spins on a result that will never arrive.

@@ -31,17 +31,15 @@ func (c *chainWorld) attempt(v graph.VertexID) (graph.VertexID, Outcome) {
 	return 0, Colored
 }
 
-func (c *chainWorld) published(u uint32) bool { return atomic.LoadUint32(&c.done[u]) != 0 }
-
 func (c *chainWorld) loop(ctx context.Context, abort *atomic.Bool, ringCap int, sh *obs.Shard) *OwnerLoop {
 	return &OwnerLoop{
-		Ctx:       ctx,
-		Abort:     abort,
-		Ring:      dispatch.NewForwardRing(ringCap),
-		Shard:     sh,
-		Attempt:   c.attempt,
-		Published: c.published,
-		FailErr:   errors.New("unused"),
+		Ctx:     ctx,
+		Abort:   abort,
+		Ring:    dispatch.NewForwardRing(ringCap),
+		Shard:   sh,
+		Shared:  c.done,
+		Attempt: c.attempt,
+		FailErr: errors.New("unused"),
 	}
 }
 
@@ -140,10 +138,11 @@ func TestOwnerLoopFailedAbortsPeers(t *testing.T) {
 	errs := make([]error, 2)
 	Go(2, func(w int) {
 		l := &OwnerLoop{
-			Ctx:   context.Background(),
-			Abort: &abort,
-			Ring:  dispatch.NewForwardRing(8),
-			Shard: ss.Shard(w),
+			Ctx:    context.Background(),
+			Abort:  &abort,
+			Ring:   dispatch.NewForwardRing(8),
+			Shard:  ss.Shard(w),
+			Shared: done,
 			Attempt: func(v graph.VertexID) (graph.VertexID, Outcome) {
 				if w == 0 {
 					return 0, Failed
@@ -157,8 +156,7 @@ func TestOwnerLoopFailedAbortsPeers(t *testing.T) {
 				atomic.StoreUint32(&done[uint32(v)], 1)
 				return 0, Colored
 			},
-			Published: func(u uint32) bool { return atomic.LoadUint32(&done[u]) != 0 },
-			FailErr:   failErr,
+			FailErr: failErr,
 		}
 		errs[w] = l.RunRange(w, 2, n)
 	})
@@ -197,7 +195,6 @@ func TestOwnerLoopHandedSkipsVertex(t *testing.T) {
 			attempts.Add(1)
 			return 0, Handed
 		},
-		Published: func(u uint32) bool { return true },
 	}
 	if err := l.RunRange(0, 1, n); err != nil {
 		t.Fatal(err)

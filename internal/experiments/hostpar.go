@@ -48,7 +48,8 @@ func hostParWorkerSweep() []int {
 }
 
 // HostPar measures the three host-parallel engines across the worker
-// sweep.
+// sweep. Each cell is the median of hostRuns interleaved runs of the
+// row's three arms; colors and stats are the last run's.
 func HostPar(ctx *Context) (*HostParResult, error) {
 	res := &HostParResult{}
 	var speedups []float64
@@ -69,27 +70,35 @@ func HostPar(ctx *Context) (*HostParResult, error) {
 		for i, w := range sweep {
 			row := HostParRow{Dataset: d.Abbrev, Workers: w, Edges: prepared.NumEdges()}
 			opts := coloring.Options{Workers: w}
-			start := time.Now()
-			specRes, specSt, err := spec.Run(ctx.RunCtx(), prepared, opts)
+			times, err := interleavedMedians(hostRuns,
+				func() error {
+					res, st, err := spec.Run(ctx.RunCtx(), prepared, opts)
+					if err != nil {
+						return fmt.Errorf("%s speculative: %w", d.Abbrev, err)
+					}
+					row.SpecStats, row.SpecColors = st, res.NumColors
+					return nil
+				},
+				func() error {
+					res, st, err := par.Run(ctx.RunCtx(), prepared, opts)
+					if err != nil {
+						return fmt.Errorf("%s parallelbitwise: %w", d.Abbrev, err)
+					}
+					row.ParStats, row.ParColors = st, res.NumColors
+					return nil
+				},
+				func() error {
+					res, _, err := dct.Run(ctx.RunCtx(), prepared, opts)
+					if err != nil {
+						return fmt.Errorf("%s dct: %w", d.Abbrev, err)
+					}
+					row.DCTColors = res.NumColors
+					return nil
+				})
 			if err != nil {
-				return nil, fmt.Errorf("%s speculative: %w", d.Abbrev, err)
+				return nil, err
 			}
-			row.SpecTime = time.Since(start)
-			row.SpecStats, row.SpecColors = specSt, specRes.NumColors
-			start = time.Now()
-			parRes, parSt, err := par.Run(ctx.RunCtx(), prepared, opts)
-			if err != nil {
-				return nil, fmt.Errorf("%s parallelbitwise: %w", d.Abbrev, err)
-			}
-			row.ParTime = time.Since(start)
-			row.ParStats, row.ParColors = parSt, parRes.NumColors
-			start = time.Now()
-			dctRes, _, err := dct.Run(ctx.RunCtx(), prepared, opts)
-			if err != nil {
-				return nil, fmt.Errorf("%s dct: %w", d.Abbrev, err)
-			}
-			row.DCTTime = time.Since(start)
-			row.DCTColors = dctRes.NumColors
+			row.SpecTime, row.ParTime, row.DCTTime = times[0], times[1], times[2]
 			if i == len(sweep)-1 {
 				speedups = append(speedups, metrics.Speedup(row.SpecTime, row.ParTime))
 			}
@@ -98,6 +107,45 @@ func HostPar(ctx *Context) (*HostParResult, error) {
 	}
 	res.AvgSpeedup = metrics.GeoMean(speedups)
 	return res, nil
+}
+
+// hostRuns is how many interleaved runs of a row's arms the hostpar and
+// locality experiments time per cell. Chosen from the spread of four
+// full-size hostpar runs on a 2-CPU host, as the ratio of a cell's
+// slowest run to its fastest across the four: at one run per cell the
+// 90th-percentile cell read 4.2× and the worst 61× (a 69 ms GD dct w=2
+// cell against 1.1–1.8 ms); at 5 runs 1.65× and 1.94×; at 11, 1.56× and
+// 9.5× (a 0.5 ms EF cell whose process stayed slow for most of its
+// rounds); at 21, 1.81× and 2.10×. Past five runs what spread remains
+// lies between processes, so 21 buys only a longer span of rounds on
+// the fastest cells; a full-size run then takes about 15 s.
+const hostRuns = 21
+
+// interleavedMedians runs each arm runs times (an odd count), rotating
+// which arm goes first every round so all arms sample the same host
+// states, and returns each arm's median time: one slow run — a GC pause,
+// a speed flip of the host — cannot set a cell. The first error stops
+// the timing.
+func interleavedMedians(runs int, arms ...func() error) ([]time.Duration, error) {
+	times := make([][]time.Duration, len(arms))
+	for a := range times {
+		times[a] = make([]time.Duration, runs)
+	}
+	for r := 0; r < runs; r++ {
+		for j := range arms {
+			a := (r + j) % len(arms)
+			start := time.Now()
+			if err := arms[a](); err != nil {
+				return nil, err
+			}
+			times[a][r] = time.Since(start)
+		}
+	}
+	medians := make([]time.Duration, len(arms))
+	for a, ts := range times {
+		medians[a] = median(ts)
+	}
+	return medians, nil
 }
 
 // Print writes the host-parallel comparison table.

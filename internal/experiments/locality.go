@@ -42,7 +42,9 @@ type LocalityResult struct {
 	DBGSpeedup float64
 }
 
-// Locality measures the 2×2 ablation on every context dataset.
+// Locality measures the 2×2 ablation on every context dataset. Each
+// arm's time is the median of hostRuns interleaved runs of the
+// dataset's four arms; colors and stats are the last run's.
 func Locality(ctx *Context) (*LocalityResult, error) {
 	res := &LocalityResult{}
 	eng, ok := coloring.Lookup("parallelbitwise")
@@ -57,15 +59,19 @@ func Locality(ctx *Context) (*LocalityResult, error) {
 			return nil, err
 		}
 		vt := ctx.CacheVerticesFor(d, raw.NumVertices())
-		times := map[[2]bool]time.Duration{}
-		for _, dbg := range []bool{false, true} {
+		var (
+			rows [4]LocalityRow
+			arms [4]func() error
+		)
+		for i := range rows {
+			dbg, gather := i >= 2, i%2 == 1
 			g := raw
 			if dbg {
 				g = prepared
 			}
-			for _, gather := range []bool{false, true} {
-				row := LocalityRow{Dataset: d.Abbrev, DBG: dbg, Gather: gather, Workers: workers}
-				start := time.Now()
+			row := &rows[i]
+			*row = LocalityRow{Dataset: d.Abbrev, DBG: dbg, Gather: gather, Workers: workers}
+			arms[i] = func() error {
 				out, st, err := eng.Run(ctx.RunCtx(), g, coloring.Options{
 					Workers:       workers,
 					DisableGather: !gather,
@@ -76,23 +82,32 @@ func Locality(ctx *Context) (*LocalityResult, error) {
 					HotVertices: vt,
 				})
 				if err != nil {
-					return nil, fmt.Errorf("%s dbg=%v gather=%v: %w", d.Abbrev, dbg, gather, err)
+					return fmt.Errorf("%s dbg=%v gather=%v: %w", d.Abbrev, dbg, gather, err)
 				}
-				row.Time = time.Since(start)
-				row.NsPerEdge = float64(row.Time.Nanoseconds()) / float64(g.NumEdges())
-				row.Colors = out.NumColors
-				row.Stats = st
-				if gather {
-					row.HotCoverage = cache.CoverageRatio(g.Offsets, g.Edges, st.HotThreshold)
-				}
-				times[[2]bool{dbg, gather}] = row.Time
-				res.Rows = append(res.Rows, row)
+				row.Colors, row.Stats = out.NumColors, st
+				return nil
 			}
 		}
-		gatherSpeedups = append(gatherSpeedups,
-			metrics.Speedup(times[[2]bool{true, false}], times[[2]bool{true, true}]))
-		dbgSpeedups = append(dbgSpeedups,
-			metrics.Speedup(times[[2]bool{false, true}], times[[2]bool{true, true}]))
+		times, err := interleavedMedians(hostRuns, arms[:]...)
+		if err != nil {
+			return nil, err
+		}
+		for i := range rows {
+			row := &rows[i]
+			g := raw
+			if row.DBG {
+				g = prepared
+			}
+			row.Time = times[i]
+			row.NsPerEdge = float64(row.Time.Nanoseconds()) / float64(g.NumEdges())
+			if row.Gather {
+				row.HotCoverage = cache.CoverageRatio(g.Offsets, g.Edges, row.Stats.HotThreshold)
+			}
+		}
+		res.Rows = append(res.Rows, rows[:]...)
+		// rows are (dbg, gather) = (off, off), (off, on), (on, off), (on, on).
+		gatherSpeedups = append(gatherSpeedups, metrics.Speedup(times[2], times[3]))
+		dbgSpeedups = append(dbgSpeedups, metrics.Speedup(times[1], times[3]))
 	}
 	res.GatherSpeedup = metrics.GeoMean(gatherSpeedups)
 	res.DBGSpeedup = metrics.GeoMean(dbgSpeedups)

@@ -86,11 +86,10 @@ func Mean(xs []float64) float64 {
 // adjacency entries skipped by uncolored-vertex pruning's tail break
 // (PUV).
 //
-// The speculative engines and the multi-shard sharded kernels count
-// every read. The DCT kernels (dct, and sharded at one shard) count once
-// per colored vertex: its reads and pruned tail, with the reads at or
-// above v_t classified in order against the worker's last-block
-// register. Their counts equal per-read counting at one worker; at more
+// The speculative engines count every read. The DCT kernel (dct, and
+// both phases of sharded in core) counts once per colored vertex: its
+// reads and pruned tail, with the reads at or above v_t classified in
+// order against the worker's last-block register. Their counts equal per-read counting at one worker; at more
 // they leave out replayed reads (DeferRetries counts those), and the
 // merged/cold split depends on which worker colored which vertex.
 type GatherStats struct {
@@ -205,14 +204,16 @@ type RunStats struct {
 	// CutEdges counts undirected edges whose endpoints land in different
 	// shards — the partition quality number the boundary phase pays for.
 	CutEdges int64
-	// CrossShardDefers counts vertices pushed to the boundary frontier
-	// because a lower-indexed neighbor lives in another shard (the direct
-	// cross-shard cause; structural, so identical across timings). Always
-	// 0 out of core: the ordered stream has no frontier.
+	// CrossShardDefers counts the vertices with a lower-indexed neighbor
+	// in another shard — the boundary frontier's roots. Like CutEdges it
+	// is a property of the graph and the partition
+	// (partition.Classification.CrossDefers). Always 0 out of core: the
+	// ordered stream has no frontier.
 	CrossShardDefers int64
 	// FrontierVertices is the boundary-frontier size the second phase
-	// colored: CrossShardDefers plus the in-shard cascade behind them.
-	// Always 0 out of core.
+	// colored: CrossShardDefers plus the vertices cascading behind them
+	// (a lower-indexed neighbor on the frontier), again a partition
+	// property. Always 0 out of core.
 	FrontierVertices int
 	// ShardVertices[s] counts the vertices shard s colored during the
 	// interior phase (frontier vertices are excluded — they are colored

@@ -39,10 +39,6 @@ const (
 	CtrDeferred
 	CtrDeferRetries
 	CtrSpinWaits
-	// CtrCrossDefers counts vertices the sharded engine pushed to the
-	// boundary frontier because a lower-indexed neighbor lives in another
-	// shard (the structural cross-shard cause, counted once per vertex).
-	CtrCrossDefers
 
 	// NumCounters is the shard width.
 	NumCounters

@@ -196,33 +196,78 @@ type Classification struct {
 	// Boundary counts vertices with any cross-part neighbor
 	// (== BoundaryVertices).
 	Boundary int
+	// Frontier lists, ascending, the vertices whose color waits on
+	// another part under the lower-index-wins rule: v is on it when a
+	// lower-indexed neighbor is in another part or on the frontier
+	// itself. So every lower neighbor of a vertex off the frontier is in
+	// its part and off the frontier too.
+	Frontier []graph.VertexID
+	// CrossDefers counts the vertices with a lower-indexed neighbor in
+	// another part: the frontier's roots, the rest cascading behind them.
+	CrossDefers int64
 	// PerShardBoundary[p] counts part p's boundary vertices.
 	PerShardBoundary []int
 	// PerShardVertices[p] counts part p's vertices (== Sizes).
 	PerShardVertices []int
+	// onFrontier is Frontier's membership bitset.
+	onFrontier []uint64
+}
+
+// OnFrontier reports whether v is on the frontier.
+func (c *Classification) OnFrontier(v graph.VertexID) bool {
+	return c.onFrontier[v>>6]&(1<<(v&63)) != 0
 }
 
 // Classify computes the boundary analysis in one adjacency sweep.
 func Classify(g *graph.CSR, a *Assignment) Classification {
+	return ClassifyInto(g, a, nil, nil)
+}
+
+// ClassifyInto is Classify appending the frontier to frontier[:0] and
+// keeping its membership bits in onFrontier when that has the capacity
+// (nil or too small allocates) — the allocation-free entry the sharded
+// engine's pooled scratch uses.
+func ClassifyInto(g *graph.CSR, a *Assignment, frontier []graph.VertexID, onFrontier []uint64) Classification {
+	n := g.NumVertices()
+	if words := (n + 63) / 64; cap(onFrontier) < words {
+		onFrontier = make([]uint64, words)
+	} else {
+		onFrontier = onFrontier[:words]
+		clear(onFrontier)
+	}
 	c := Classification{
+		Frontier:         frontier[:0],
 		PerShardBoundary: make([]int, a.K),
 		PerShardVertices: make([]int, a.K),
+		onFrontier:       onFrontier,
 	}
-	for v := 0; v < g.NumVertices(); v++ {
+	for v := 0; v < n; v++ {
 		pv := a.Parts[v]
 		c.PerShardVertices[pv]++
-		cross := false
+		cross, lowerCross, waits := false, false, false
 		for _, w := range g.Neighbors(graph.VertexID(v)) {
-			if a.Parts[w] != pv {
+			switch {
+			case a.Parts[w] != pv:
 				cross = true
 				if graph.VertexID(v) < w {
 					c.CutEdges++
+				} else {
+					lowerCross = true
 				}
+			case w < graph.VertexID(v) && c.OnFrontier(w):
+				waits = true
 			}
 		}
 		if cross {
 			c.Boundary++
 			c.PerShardBoundary[pv]++
+		}
+		if lowerCross {
+			c.CrossDefers++
+		}
+		if lowerCross || waits {
+			c.onFrontier[v>>6] |= 1 << (v & 63)
+			c.Frontier = append(c.Frontier, graph.VertexID(v))
 		}
 	}
 	return c

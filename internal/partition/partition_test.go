@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bitcolor/internal/gen"
@@ -183,7 +185,7 @@ func TestRangesInto(t *testing.T) {
 // against Validate on fuzzer-shaped graphs and part vectors: whenever
 // Validate accepts the assignment, EdgeCut, BoundaryVertices, Sizes and
 // the one-sweep Classify must agree with each other and with basic
-// counting bounds.
+// counting bounds, and Classify's frontier with the fixpoint reference.
 func FuzzAssignmentInvariants(f *testing.F) {
 	f.Add(uint16(50), uint16(200), uint8(4), int64(1), []byte{0, 1, 2, 3})
 	f.Add(uint16(1), uint16(0), uint8(1), int64(2), []byte{0})
@@ -245,6 +247,10 @@ func FuzzAssignmentInvariants(f *testing.F) {
 		if k == 1 && (cut != 0 || boundary != 0) {
 			t.Fatalf("K=1 with cut %d boundary %d", cut, boundary)
 		}
+		if frontier, cross := referenceFrontier(g, a); !slices.Equal(cl.Frontier, frontier) || cl.CrossDefers != cross {
+			t.Fatalf("Classify frontier %d cross %d, reference %d cross %d",
+				len(cl.Frontier), cl.CrossDefers, len(frontier), cross)
+		}
 	})
 }
 
@@ -260,5 +266,119 @@ func TestAssignmentStats(t *testing.T) {
 	bad := &Assignment{Parts: []int32{0, 5}, K: 2}
 	if bad.Validate() == nil {
 		t.Fatal("bad assignment validated")
+	}
+}
+
+// referenceFrontier computes the boundary frontier by its definition,
+// as a fixpoint: starting from nothing, sweep the vertices in descending
+// order, adding v when a lower-indexed neighbor lies in another part or
+// is already on the frontier, until a sweep adds nothing. It also counts
+// the vertices with a lower-indexed neighbor in another part.
+func referenceFrontier(g *graph.CSR, a *Assignment) ([]graph.VertexID, int64) {
+	n := g.NumVertices()
+	on := make([]bool, n)
+	for changed := true; changed; {
+		changed = false
+		for v := n - 1; v >= 0; v-- {
+			if on[v] {
+				continue
+			}
+			for _, u := range g.Neighbors(graph.VertexID(v)) {
+				if int(u) < v && (a.Parts[u] != a.Parts[v] || on[u]) {
+					on[v], changed = true, true
+					break
+				}
+			}
+		}
+	}
+	var frontier []graph.VertexID
+	var cross int64
+	for v := range on {
+		if on[v] {
+			frontier = append(frontier, graph.VertexID(v))
+		}
+		for _, u := range g.Neighbors(graph.VertexID(v)) {
+			if int(u) < v && a.Parts[u] != a.Parts[v] {
+				cross++
+				break
+			}
+		}
+	}
+	return frontier, cross
+}
+
+// TestClassifyFrontierMatchesFixpoint holds Classify's frontier, its
+// membership bits and the cross-part count to the fixpoint reference on
+// random graphs with sorted and shuffled adjacency lists, under range and
+// label-propagation partitions, for K ∈ {1, 2, 3, 4, 7} and the empty
+// graph. ClassifyInto on reused, dirty buffers must agree too.
+func TestClassifyFrontierMatchesFixpoint(t *testing.T) {
+	type part func(g *graph.CSR, k int) (*Assignment, error)
+	strategies := map[string]part{
+		StrategyRanges: Ranges,
+		StrategyLabelProp: func(g *graph.CSR, k int) (*Assignment, error) {
+			return LabelPropagation(g, k, 10, 0.15)
+		},
+	}
+	empty, err := graph.FromEdgeList(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*graph.CSR{"empty": empty}
+	for seed := int64(1); seed <= 4; seed++ {
+		n := 50 + int(seed)*150
+		g := testGraph(t, n, n*int(seed+1), seed)
+		graphs[fmt.Sprintf("random-%d", seed)] = g
+		shuffled := testGraph(t, n, n*int(seed+1), seed)
+		rng := rand.New(rand.NewSource(seed))
+		for v := 0; v < n; v++ {
+			adj := shuffled.Edges[shuffled.Offsets[v]:shuffled.Offsets[v+1]]
+			rng.Shuffle(len(adj), func(i, j int) { adj[i], adj[j] = adj[j], adj[i] })
+		}
+		shuffled.ResetSorted()
+		graphs[fmt.Sprintf("shuffled-%d", seed)] = shuffled
+	}
+	frontier := []graph.VertexID{7, 7, 7}
+	bits := []uint64{^uint64(0), ^uint64(0)}
+	for name, g := range graphs {
+		for sname, build := range strategies {
+			for _, k := range []int{1, 2, 3, 4, 7} {
+				if k > g.NumVertices() && g.NumVertices() > 0 {
+					continue
+				}
+				a, err := build(g, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantFrontier, wantCross := referenceFrontier(g, a)
+				cl := Classify(g, a)
+				reused := ClassifyInto(g, a, frontier, bits)
+				frontier, bits = reused.Frontier, reused.onFrontier
+				for _, c := range []Classification{cl, reused} {
+					if !slices.Equal(c.Frontier, wantFrontier) {
+						t.Fatalf("%s %s K=%d: frontier %d vertices, reference %d", name, sname, k, len(c.Frontier), len(wantFrontier))
+					}
+					if c.CrossDefers != wantCross {
+						t.Fatalf("%s %s K=%d: CrossDefers %d, reference %d", name, sname, k, c.CrossDefers, wantCross)
+					}
+					next := 0
+					for v := 0; v < g.NumVertices(); v++ {
+						on := next < len(wantFrontier) && wantFrontier[next] == graph.VertexID(v)
+						if on {
+							next++
+						}
+						if c.OnFrontier(graph.VertexID(v)) != on {
+							t.Fatalf("%s %s K=%d: OnFrontier(%d) = %v, reference %v", name, sname, k, v, !on, on)
+						}
+					}
+				}
+				if k == 1 && (len(cl.Frontier) != 0 || cl.CrossDefers != 0) {
+					t.Fatalf("%s %s K=1: frontier %d, cross %d", name, sname, len(cl.Frontier), cl.CrossDefers)
+				}
+				if int64(len(cl.Frontier)) < cl.CrossDefers || len(cl.Frontier) > g.NumVertices() {
+					t.Fatalf("%s %s K=%d: frontier %d vs cross %d", name, sname, k, len(cl.Frontier), cl.CrossDefers)
+				}
+			}
+		}
 	}
 }
