@@ -165,9 +165,6 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 	}
 	shared, sorted, tally := f.shared, g.EdgesSorted(), f.gather
 	run := newOwnerRun(ctx, opts.Obs, shared)
-	attempt := func(s *workerScratch, v graph.VertexID) (graph.VertexID, exec.Outcome) {
-		return dctAttempt(s, shared, v, g.Neighbors(v), sorted, tally)
-	}
 
 	// Interior phase: shards × workers goroutines; goroutine (s, w) owns
 	// positions w, w+P, … of shard s's ascending vertices — the DCT
@@ -183,7 +180,7 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 			if cl.OnFrontier(v) {
 				return 0, exec.Handed
 			}
-			return attempt(s, v)
+			return dctAttempt(s, shared, v, g.Neighbors(v), sorted, tally)
 		})
 		if ranged {
 			lo, _ := slices.BinarySearch(parts, int32(shard))
@@ -209,7 +206,7 @@ func ShardedOpts(ctx context.Context, g *graph.CSR, maxColors int, opts Options)
 		exec.Go(fw, func(w int) {
 			s := f.ws[w] // reuses the lane's scratch and ring, both drained
 			loop := run.loop(s, func(v graph.VertexID) (graph.VertexID, exec.Outcome) {
-				return attempt(s, v)
+				return dctAttempt(s, shared, v, g.Neighbors(v), sorted, tally)
 			})
 			s.err = loop.RunList(cl.Frontier, w, fw)
 		})

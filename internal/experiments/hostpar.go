@@ -56,11 +56,13 @@ func HostPar(ctx *Context) (*HostParResult, error) {
 	sweep := hostParWorkerSweep()
 	// The engines resolve through the registry — the same dispatch path
 	// the public API and CLIs use.
-	spec, okS := coloring.Lookup("speculative")
-	par, okP := coloring.Lookup("parallelbitwise")
-	dct, okD := coloring.Lookup("dct")
-	if !okS || !okP || !okD {
-		return nil, fmt.Errorf("hostpar: parallel engines missing from registry")
+	var engines [3]coloring.EngineInfo // speculative, parallelbitwise, dct
+	for e, name := range []string{"speculative", "parallelbitwise", "dct"} {
+		info, ok := coloring.Lookup(name)
+		if !ok {
+			return nil, fmt.Errorf("hostpar: %s missing from registry", name)
+		}
+		engines[e] = info
 	}
 	for _, d := range ctx.Datasets {
 		_, prepared, err := ctx.BuildPrepared(d)
@@ -68,37 +70,32 @@ func HostPar(ctx *Context) (*HostParResult, error) {
 			return nil, err
 		}
 		for i, w := range sweep {
-			row := HostParRow{Dataset: d.Abbrev, Workers: w, Edges: prepared.NumEdges()}
 			opts := coloring.Options{Workers: w}
-			times, err := interleavedMedians(hostRuns,
-				func() error {
-					res, st, err := spec.Run(ctx.RunCtx(), prepared, opts)
+			var (
+				stats  [3]metrics.RunStats
+				colors [3]int
+				arms   [3]func() error
+			)
+			for e, info := range engines {
+				arms[e] = func() error {
+					res, st, err := info.Run(ctx.RunCtx(), prepared, opts)
 					if err != nil {
-						return fmt.Errorf("%s speculative: %w", d.Abbrev, err)
+						return fmt.Errorf("%s %s: %w", d.Abbrev, info.Name, err)
 					}
-					row.SpecStats, row.SpecColors = st, res.NumColors
+					stats[e], colors[e] = st, res.NumColors
 					return nil
-				},
-				func() error {
-					res, st, err := par.Run(ctx.RunCtx(), prepared, opts)
-					if err != nil {
-						return fmt.Errorf("%s parallelbitwise: %w", d.Abbrev, err)
-					}
-					row.ParStats, row.ParColors = st, res.NumColors
-					return nil
-				},
-				func() error {
-					res, _, err := dct.Run(ctx.RunCtx(), prepared, opts)
-					if err != nil {
-						return fmt.Errorf("%s dct: %w", d.Abbrev, err)
-					}
-					row.DCTColors = res.NumColors
-					return nil
-				})
+				}
+			}
+			times, err := interleavedMedians(hostRuns, arms[:]...)
 			if err != nil {
 				return nil, err
 			}
-			row.SpecTime, row.ParTime, row.DCTTime = times[0], times[1], times[2]
+			row := HostParRow{
+				Dataset: d.Abbrev, Workers: w, Edges: prepared.NumEdges(),
+				SpecTime: times[0], ParTime: times[1], DCTTime: times[2],
+				SpecStats: stats[0], ParStats: stats[1],
+				SpecColors: colors[0], ParColors: colors[1], DCTColors: colors[2],
+			}
 			if i == len(sweep)-1 {
 				speedups = append(speedups, metrics.Speedup(row.SpecTime, row.ParTime))
 			}

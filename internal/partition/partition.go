@@ -235,40 +235,51 @@ func ClassifyInto(g *graph.CSR, a *Assignment, frontier []graph.VertexID, onFron
 		onFrontier = onFrontier[:words]
 		clear(onFrontier)
 	}
+	frontier = frontier[:0]
 	c := Classification{
-		Frontier:         frontier[:0],
 		PerShardBoundary: make([]int, a.K),
 		PerShardVertices: make([]int, a.K),
-		onFrontier:       onFrontier,
 	}
+	parts := a.Parts
 	for v := 0; v < n; v++ {
-		pv := a.Parts[v]
+		pv := parts[v]
 		c.PerShardVertices[pv]++
-		cross, lowerCross, waits := false, false, false
-		for _, w := range g.Neighbors(graph.VertexID(v)) {
-			switch {
-			case a.Parts[w] != pv:
+		adj := g.Neighbors(graph.VertexID(v))
+		cross, lowerCross := false, false
+		for _, w := range adj {
+			if parts[w] != pv {
 				cross = true
 				if graph.VertexID(v) < w {
 					c.CutEdges++
 				} else {
 					lowerCross = true
 				}
-			case w < graph.VertexID(v) && c.OnFrontier(w):
-				waits = true
 			}
 		}
 		if cross {
 			c.Boundary++
 			c.PerShardBoundary[pv]++
 		}
+		joins := lowerCross
 		if lowerCross {
 			c.CrossDefers++
+		} else if len(frontier) > 0 {
+			// Every lower neighbor is in v's part here, so v joins when
+			// one of them is on the frontier. Before the frontier has a
+			// vertex, as on a range part without lower cross edges, the
+			// second scan is skipped.
+			for _, w := range adj {
+				if w < graph.VertexID(v) && onFrontier[w>>6]&(1<<(w&63)) != 0 {
+					joins = true
+					break
+				}
+			}
 		}
-		if lowerCross || waits {
-			c.onFrontier[v>>6] |= 1 << (v & 63)
-			c.Frontier = append(c.Frontier, graph.VertexID(v))
+		if joins {
+			onFrontier[v>>6] |= 1 << (v & 63)
+			frontier = append(frontier, graph.VertexID(v))
 		}
 	}
+	c.Frontier, c.onFrontier = frontier, onFrontier
 	return c
 }
